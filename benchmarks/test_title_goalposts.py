@@ -27,7 +27,7 @@ def test_title_old_vs_new_goalposts(benchmark, lib, record_table):
             c.input_delays = {f"in{i}": 60.0 for i in range(32)}
             return c
 
-        periods = [480.0, 500.0, 520.0, 540.0, 560.0, 580.0]
+        periods = [480.0 + 10.0 * i for i in range(11)]
         return goalpost_sweep(design, lib, mk, periods)
 
     comparisons = once(benchmark, run)

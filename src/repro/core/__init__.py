@@ -19,7 +19,7 @@ matter itself:
 from repro.core.closure import ClosureConfig, ClosureEngine, ClosureReport
 from repro.core.margins import MarginStackup
 from repro.core.signoff import SignoffPolicy, evaluate_signoff
-from repro.core.yieldmodel import design_yield, goalpost_sweep
+from repro.core.yieldmodel import goalpost_sweep
 
 __all__ = [
     "ClosureConfig",
@@ -28,6 +28,5 @@ __all__ = [
     "MarginStackup",
     "SignoffPolicy",
     "evaluate_signoff",
-    "design_yield",
     "goalpost_sweep",
 ]

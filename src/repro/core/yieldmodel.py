@@ -8,64 +8,15 @@ violations (as opposed to yield losses). Unfortunately, sigmas are
 unstable..."
 
 This module computes what the new goal post *would* be: parametric
-timing yield from SSTA slack distributions (independent local sigmas,
-with the fully-correlated global component integrated out by Gauss-
-Hermite-style quadrature), plus the sensitivity of that yield to sigma
-error — the instability that keeps the old goal post alive.
+timing yield read off the canonical SSTA engine's sampled slack matrix
+(:class:`repro.sta.ssta.SstaRun`), plus the sensitivity of that yield to
+sigma error — the instability that keeps the old goal post alive.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
-
-from repro.errors import SignoffError
-from repro.netlist.design import PinRef
-from repro.variation.ssta import SstaResult
-
-#: Quadrature grid for the global (die-to-die) component.
-_GLOBAL_GRID = np.linspace(-4.0, 4.0, 81)
-
-
-def endpoint_pass_probability(ssta: SstaResult, endpoint: PinRef,
-                              sigma_scale: float = 1.0) -> float:
-    """P(slack >= 0) for one endpoint, global component integrated out."""
-    dist = ssta.endpoint_slacks[endpoint]
-    return float(
-        _conditional_pass(dist, _GLOBAL_GRID, sigma_scale).mean()
-    )
-
-
-def design_yield(ssta: SstaResult, sigma_scale: float = 1.0) -> float:
-    """Parametric timing yield of the whole design.
-
-    Endpoint failures are independent given the global excursion
-    (their local sigmas are independent), so the yield is the
-    expectation over the global component of the product of conditional
-    pass probabilities. ``sigma_scale`` scales every sigma — the knob
-    for the "sigmas are unstable" sensitivity study.
-    """
-    if not ssta.endpoint_slacks:
-        raise SignoffError("SSTA result has no endpoints")
-    z = _GLOBAL_GRID
-    weights = np.exp(-0.5 * z * z)
-    weights /= weights.sum()
-    log_pass = np.zeros_like(z)
-    for dist in ssta.endpoint_slacks.values():
-        conditional = _conditional_pass(dist, z, sigma_scale)
-        log_pass += np.log(np.clip(conditional, 1e-300, 1.0))
-    return float((weights * np.exp(log_pass)).sum())
-
-
-def _conditional_pass(dist, z: np.ndarray, sigma_scale: float) -> np.ndarray:
-    """P(slack >= 0 | global = z), vectorized over the grid."""
-    mean = dist.mean - z * dist.sigma_global * sigma_scale
-    local = max(dist.sigma_local * sigma_scale, 1e-12)
-    x = mean / (local * math.sqrt(2.0))
-    return 0.5 * (1.0 + np.array([math.erf(v) for v in x]))
+from typing import List, Optional
 
 
 @dataclass
@@ -94,36 +45,37 @@ def goalpost_sweep(
     make_constraints,
     periods: List[float],
     derate_percent: float = 0.08,
-    global_sigma_frac: float = 0.3,
 ) -> List[GoalpostComparison]:
     """Compare the two goal posts across a clock-period sweep.
 
     ``make_constraints(period)`` must return a constraint set. The old
-    goal post runs deterministic STA with a flat OCV derate; the new one
-    runs SSTA and reads the design yield, bracketing it with +/-20%
-    sigma error (the instability that keeps the old post standing).
+    goal post runs deterministic STA with a flat OCV derate at every
+    period; the new one runs canonical SSTA once and reads the design
+    yield at each period off its sampled slack matrix (setup slack is
+    linear in the period), bracketing it with +/-20% sigma error (the
+    instability that keeps the old post standing).
+
+    Raises :class:`~repro.errors.SignoffError` when the design has no
+    setup endpoints.
     """
     from repro.sta.analysis import STA
+    from repro.sta.ssta import run_ssta
     from repro.variation.derate import flat_ocv_derates
-    from repro.variation.ssta import run_ssta
 
+    if not periods:
+        return []
+    run = run_ssta(design, library, make_constraints(periods[0]))
     out: List[GoalpostComparison] = []
     for period in periods:
-        constraints = make_constraints(period)
-        corner_sta = STA(design, library, constraints,
+        corner_sta = STA(design, library, make_constraints(period),
                          derates=flat_ocv_derates(derate_percent))
-        corner_wns = corner_sta.run().wns("setup")
-
-        stat_sta = STA(design, library, constraints)
-        stat_sta.report = stat_sta.run()
-        ssta = run_ssta(stat_sta, global_sigma_frac=global_sigma_frac)
         out.append(
             GoalpostComparison(
                 period=period,
-                corner_wns=corner_wns,
-                yield_estimate=design_yield(ssta),
-                yield_low_sigma=design_yield(ssta, sigma_scale=1.2),
-                yield_high_sigma=design_yield(ssta, sigma_scale=0.8),
+                corner_wns=corner_sta.run().wns("setup"),
+                yield_estimate=run.timing_yield(period),
+                yield_low_sigma=run.timing_yield(period, sigma_scale=1.2),
+                yield_high_sigma=run.timing_yield(period, sigma_scale=0.8),
             )
         )
     return out

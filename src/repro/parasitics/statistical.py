@@ -6,8 +6,15 @@ and Section 4 predicts that "statistical SPEF or similar will be revived"
 once BEOL becomes a first-class citizen. This module is that revival for
 our stack: each net's extracted parasitics are annotated with relative
 R and C sigmas derived from its routing layer's patterning class (through
-the SADP CD-sigma model), and wire-delay sigmas are computed for
-consumption by SSTA (:mod:`repro.variation.ssta`).
+the SADP CD-sigma model).
+
+:func:`net_rc_sigmas` is the one place that lookup happens. The SSTA
+engine (:mod:`repro.sta.ssta`) reads it through the statistical
+algebras' wire-delay hook when a run is given a ``wire_stack``: each
+wire delay gains a private per-(net, sink) variation term whose sigma
+is the layer's relative wire-delay sigma times the nominal delay.
+:class:`StatisticalAnnotator` reads the same lookup to write the
+per-net SSPEF payload.
 """
 
 from __future__ import annotations
@@ -68,6 +75,12 @@ def layer_rc_sigmas(layer: MetalLayer,
     return RcSigmas(r_rel=sens["r_rel_sigma"], c_rel=c_rel)
 
 
+def net_rc_sigmas(para: NetParasitics, stack: BeolStack,
+                  process: SadpSigmas = SadpSigmas()) -> RcSigmas:
+    """Relative R/C sigmas of an extracted net, from its routing layer."""
+    return layer_rc_sigmas(stack.layer(para.layer_name), process)
+
+
 class StatisticalAnnotator:
     """Annotates an extractor's nets with statistical wire-delay sigmas."""
 
@@ -80,9 +93,8 @@ class StatisticalAnnotator:
 
     def net_sigmas(self, net_name: str) -> RcSigmas:
         if net_name not in self._cache:
-            para = self.extractor.extract(net_name)
-            layer = self.stack.layer(para.layer_name)
-            self._cache[net_name] = layer_rc_sigmas(layer, self.process)
+            self._cache[net_name] = net_rc_sigmas(
+                self.extractor.extract(net_name), self.stack, self.process)
         return self._cache[net_name]
 
     def wire_delay_sigma(self, net_name: str, sink: PinRef,

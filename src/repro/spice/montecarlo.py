@@ -11,7 +11,7 @@ perturbed — threshold shift and current-factor scale — matching the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, List
 
 import numpy as np
 
@@ -76,9 +76,8 @@ def sample_seeds(seed: int, n_samples: int) -> List[np.random.SeedSequence]:
     """One independent child seed per MC sample.
 
     ``numpy.random.SeedSequence.spawn`` gives every sample its own
-    statistically independent stream derived only from (seed, index) —
-    *not* from how samples are batched over workers — so serial and
-    parallel evaluation of the same seed are bit-identical.
+    statistically independent stream derived only from (seed, index),
+    so a sample's draw never depends on how many samples are taken.
     """
     return np.random.SeedSequence(seed).spawn(n_samples)
 
@@ -87,27 +86,14 @@ def evaluate_samples(
     evaluate: Callable[[int, np.random.Generator], object],
     n_samples: int,
     seed: int = 0,
-    jobs: int = 1,
-    executor: str = "thread",
 ) -> List[object]:
-    """Evaluate ``evaluate(index, rng)`` for every sample, batched.
+    """Evaluate ``evaluate(index, rng)`` for every sample, in order.
 
-    Fans samples out over the signoff scheduler's worker pool
-    (:func:`repro.sta.scheduler.parallel_map`); results come back in
-    sample order and each sample's generator is spawned from the master
-    seed, so the output is independent of ``jobs``/``executor``.
+    Each sample's generator is spawned from the master seed
+    (:func:`sample_seeds`), so sample ``i`` is the same draw however
+    many samples a run evaluates.
     """
-    from functools import partial
-
-    from repro.sta.scheduler import parallel_map
-
-    seeds = sample_seeds(seed, n_samples)
-    one = partial(_evaluate_one, evaluate)
-    return parallel_map(one, list(enumerate(seeds)), jobs=jobs,
-                        executor=executor)
-
-
-def _evaluate_one(evaluate, arg):
-    """Module-level so process pools can pickle the partial application."""
-    index, child = arg
-    return evaluate(index, np.random.default_rng(child))
+    return [
+        evaluate(index, np.random.default_rng(child))
+        for index, child in enumerate(sample_seeds(seed, n_samples))
+    ]

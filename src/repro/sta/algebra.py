@@ -3,7 +3,8 @@
 Every quantity the engine propagates — arrival, required time, slack —
 used to be a bare ``float``. This module abstracts it behind a small
 :class:`TimingAlgebra` protocol (``add / sub / max / min / le /
-to_scalar`` plus the delay-lifting hook :meth:`TimingAlgebra.arc_delay`)
+to_scalar`` plus the delay-lifting hooks :meth:`TimingAlgebra.arc_delay`
+and :meth:`TimingAlgebra.wire_delay`)
 so alternate value domains plug into the *same* propagation, required-
 time, PBA and CPPR code:
 
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -173,6 +174,15 @@ class TimingAlgebra:
 
         ``value`` is the deterministic table delay; statistical algebras
         attach the arc's LVF sigma here. The default is the identity.
+        """
+        return value
+
+    def wire_delay(self, edge, para, value: float):
+        """Lift a nominal wire delay into an algebra value.
+
+        ``para`` is the net's already-extracted parasitics. Statistical
+        algebras built with a ``wire_stack`` attach the routing layer's
+        wire-delay sigma here; the default is the identity.
         """
         return value
 
@@ -320,15 +330,49 @@ class CanonicalForm:
         return f"CanonicalForm(mean={self.mean:.4f}, sigma={self.sigma():.4f})"
 
 
-class CanonicalAlgebra(TimingAlgebra):
+class _StatisticalAlgebra(TimingAlgebra):
+    """Shared state of the canonical and Monte-Carlo algebras.
+
+    With a BEOL ``wire_stack`` (statistical SPEF), every wire delay
+    gains a private variation term: one hashed slot per (net, sink), no
+    global source, sigma = the routing layer's relative wire-delay sigma
+    (:func:`repro.parasitics.statistical.net_rc_sigmas`) times the
+    nominal delay. Without one, wires stay nominal and runs are
+    bit-identical to the pre-hook engine.
+    """
+
+    statistical = True
+
+    def __init__(self, design, model: Optional[VariationModel] = None,
+                 wire_stack=None):
+        self.design = design
+        self.model = model or VariationModel()
+        self.wire_stack = wire_stack
+        self._wire_rel: Dict[str, float] = {}
+
+    def _wire_term(self, edge, para,
+                   value: float) -> Optional[Tuple[int, float]]:
+        """(slot, sigma) of a wire delay, or None when it stays nominal."""
+        if self.wire_stack is None or not value:
+            return None
+        rel = self._wire_rel.get(para.layer_name)
+        if rel is None:
+            from repro.parasitics.statistical import net_rc_sigmas
+
+            rel = net_rc_sigmas(para, self.wire_stack).wire_delay_rel
+            self._wire_rel[para.layer_name] = rel
+        slot = self.model.slot_of(edge.net_name, "wire", str(edge.sink), "")
+        return slot, rel * value
+
+
+class CanonicalAlgebra(_StatisticalAlgebra):
     """First-order canonical SSTA with Clark's moment-matched max."""
 
     name = "canonical"
-    statistical = True
 
-    def __init__(self, design, model: Optional[VariationModel] = None):
-        self.design = design
-        self.model = model or VariationModel()
+    def __init__(self, design, model: Optional[VariationModel] = None,
+                 wire_stack=None):
+        super().__init__(design, model, wire_stack)
         self._zeros = np.zeros(self.model.dim)
 
     # -- lifting ------------------------------------------------------- #
@@ -353,6 +397,14 @@ class CanonicalAlgebra(TimingAlgebra):
         slot = model.slot_of(edge.instance, edge.arc.related_pin,
                              edge.arc.pin, out_dir)
         coeffs[slot] += math.sqrt(max(1.0 - model.rho ** 2, 0.0)) * sigma
+        return CanonicalForm(value, coeffs)
+
+    def wire_delay(self, edge, para, value: float):
+        term = self._wire_term(edge, para, value)
+        if term is None:
+            return value
+        coeffs = np.zeros(self.model.dim)
+        coeffs[term[0]] = term[1]
         return CanonicalForm(value, coeffs)
 
     # -- merge --------------------------------------------------------- #
@@ -486,7 +538,7 @@ class Samples:
         return f"Samples(n={len(self.vec)}, mean={self.mean():.4f})"
 
 
-class MonteCarloAlgebra(TimingAlgebra):
+class MonteCarloAlgebra(_StatisticalAlgebra):
     """Every value is a vector of MC samples; one propagation pass
     evaluates all of them (the corner-batching trick, applied to dies).
 
@@ -496,12 +548,10 @@ class MonteCarloAlgebra(TimingAlgebra):
     """
 
     name = "monte-carlo"
-    statistical = True
 
     def __init__(self, design, model: Optional[VariationModel] = None,
-                 n_samples: int = 2000):
-        self.design = design
-        self.model = model or VariationModel()
+                 n_samples: int = 2000, wire_stack=None):
+        super().__init__(design, model, wire_stack)
         self.n_samples = n_samples
         rng = np.random.default_rng(self.model.seed)
         #: (N, dim) draws of every model dimension (globals + slots).
@@ -521,6 +571,13 @@ class MonteCarloAlgebra(TimingAlgebra):
         z = (rho * self.z[:, source]
              + math.sqrt(max(1.0 - rho * rho, 0.0)) * self.z[:, slot])
         return Samples(value + sigma * z)
+
+    def wire_delay(self, edge, para, value: float):
+        term = self._wire_term(edge, para, value)
+        if term is None:
+            return value
+        slot, sigma = term
+        return Samples(value + sigma * self.z[:, slot])
 
     def max(self, a, b):
         fa, fb = float(a), float(b)

@@ -207,16 +207,18 @@ def _propagate_net_edge(graph, parasitics, result, edge: NetEdge,
     base_delay = para.wire_delay(edge.sink, pin_cap)
     degrade = para.slew_degradation(edge.sink, pin_cap)
     delta = si_delta.get(edge.net_name, 0.0)
+    late_wire = alg.wire_delay(edge, para, base_delay)
+    early_wire = alg.wire_delay(edge, para, max(base_delay - delta, 0.0))
     for direction in DIRECTIONS:
         if not result.has(edge.driver, direction):
             continue
         src = result.at(edge.driver, direction)
         dst = result.at(edge.sink, direction)
         if src.late > -INF:
-            dst.offer_late(src.late + base_delay + delta,
+            dst.offer_late(src.late + late_wire + delta,
                            src.slew_late + degrade, (edge, direction), alg)
         if src.early < INF:
-            dst.offer_early(src.early + max(base_delay - delta, 0.0),
+            dst.offer_early(src.early + early_wire,
                             src.slew_early + degrade, (edge, direction), alg)
 
 

@@ -17,11 +17,6 @@ independent STA run. This module attacks both axes:
   only recomputes scenarios whose inputs actually changed; the
   incremental timer (:mod:`repro.sta.incremental`) notifies registered
   caches when it edits a design so stale snapshots are dropped eagerly.
-
-The same executor batches Monte Carlo sample evaluation
-(:func:`parallel_map` with per-sample spawned seeds — see
-:mod:`repro.spice.montecarlo`), keeping parallel and serial sampling
-bit-identical.
 """
 
 from __future__ import annotations
@@ -32,9 +27,8 @@ import enum
 import hashlib
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -530,29 +524,6 @@ def _run_scenario_job(job, attempt: int = 1):
             with local.span("sta_run", scenario=scenario.name):
                 report = scenario.run(design, stack)
     return TracedResult(value=report, spans=local.spans())
-
-
-def parallel_map(fn: Callable, items: Iterable, jobs: int = 1,
-                 executor: str = "thread") -> List:
-    """Map ``fn`` over ``items``, preserving order, optionally in a pool.
-
-    ``jobs <= 1`` (or a single item, or ``executor="serial"``) runs
-    serially in-process. Results are returned in input order regardless
-    of completion order, so callers see identical output for any job
-    count. ``executor="process"`` requires ``fn`` and the items to be
-    picklable.
-    """
-    if executor not in EXECUTORS:
-        raise TimingError(
-            f"unknown executor {executor!r}; pick from {EXECUTORS}"
-        )
-    work = list(items)
-    if jobs <= 1 or len(work) <= 1 or executor == "serial":
-        return [fn(item) for item in work]
-    pool_cls = ProcessPoolExecutor if executor == "process" \
-        else ThreadPoolExecutor
-    with pool_cls(max_workers=min(jobs, len(work))) as pool:
-        return list(pool.map(fn, work))
 
 
 # ---------------------------------------------------------------------- #

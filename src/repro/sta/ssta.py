@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import TimingError
+from repro.errors import SignoffError, TimingError
 from repro.liberty.lvf import has_lvf
 from repro.sta.algebra import (
     CanonicalAlgebra,
@@ -173,19 +173,25 @@ class SstaRun:
     # ------------------------------------------------------------------ #
     # yield
 
-    def timing_yield(self, period: Optional[float] = None) -> float:
+    def timing_yield(self, period: Optional[float] = None,
+                     sigma_scale: float = 1.0) -> float:
         """P(every setup and hold check passes) at ``period``.
 
         Setup/output slack is linear in the period (required time is
         ``T + ...``), so a period shift moves every setup sample by the
         same delta; hold checks are same-edge and unaffected.
+        ``sigma_scale`` scales each sample's deviation from its
+        endpoint's sample mean — the "sigmas are unstable" knob of the
+        goal-post study (:mod:`repro.core.yieldmodel`).
         """
+        if not self.setup_slacks.shape[1]:
+            raise SignoffError("SSTA run has no setup endpoints")
         shift = 0.0 if period is None else period - self.period
-        ok = np.ones(self.n_samples, dtype=bool)
-        if self.setup_slacks.shape[1]:
-            ok &= (self.setup_slacks + shift >= 0.0).all(axis=1)
+        setup = _scale_spread(self.setup_slacks, sigma_scale)
+        ok = (setup + shift >= 0.0).all(axis=1)
         if self.hold_slacks.shape[1]:
-            ok &= (self.hold_slacks >= 0.0).all(axis=1)
+            hold = _scale_spread(self.hold_slacks, sigma_scale)
+            ok &= (hold >= 0.0).all(axis=1)
         return float(ok.mean())
 
     def yield_vs_period(self, deltas: Sequence[float]) -> List[Tuple[float, float]]:
@@ -237,15 +243,29 @@ class SstaRun:
         return "\n".join(lines)
 
 
+def _scale_spread(samples: np.ndarray, k: float) -> np.ndarray:
+    """Samples with each column's deviation from its mean scaled by k."""
+    if k == 1.0:
+        return samples
+    mean = samples.mean(axis=0)
+    return mean + k * (samples - mean)
+
+
 def run_ssta(
     design,
     library,
     constraints,
     model: Optional[VariationModel] = None,
     n_samples: int = 4000,
+    wire_stack=None,
     **sta_kwargs,
 ) -> SstaRun:
-    """Run the reference engine under canonical forms and sample it."""
+    """Run the reference engine under canonical forms and sample it.
+
+    A BEOL ``wire_stack`` turns on statistical interconnect: wire
+    delays carry their routing layer's SADP-derived sigma
+    (:mod:`repro.parasitics.statistical`).
+    """
     if not has_lvf(library):
         raise TimingError(
             "SSTA needs LVF sigma tables on every delay arc "
@@ -253,7 +273,8 @@ def run_ssta(
         )
     model = model or VariationModel()
     sta = STA(design, library, constraints,
-              algebra=CanonicalAlgebra(design, model), **sta_kwargs)
+              algebra=CanonicalAlgebra(design, model, wire_stack),
+              **sta_kwargs)
     sta.run()
     return SstaRun(sta, model, n_samples=n_samples)
 
@@ -278,13 +299,16 @@ def monte_carlo_ssta(
     constraints,
     model: Optional[VariationModel] = None,
     n_samples: int = 2000,
+    wire_stack=None,
     **sta_kwargs,
 ) -> McResult:
-    """The independent oracle: the same engine, same LVF tables and same
-    variation model, but propagating concrete sample vectors — exact
-    per-sample max/min instead of Clark's moment matching."""
+    """The independent oracle: the same engine, same LVF tables, same
+    variation model and same ``wire_stack``, but propagating concrete
+    sample vectors — exact per-sample max/min instead of Clark's moment
+    matching."""
     model = model or VariationModel()
-    alg = MonteCarloAlgebra(design, model, n_samples=n_samples)
+    alg = MonteCarloAlgebra(design, model, n_samples=n_samples,
+                            wire_stack=wire_stack)
     sta = STA(design, library, constraints, algebra=alg, **sta_kwargs)
     report = sta.run()
 

@@ -20,7 +20,6 @@ from repro.variation.montecarlo import (
     spice_chain_mc,
 )
 from repro.variation.accuracy import ladder_comparison, predicted_path_delta
-from repro.variation.ssta import GaussianArrival, SstaResult, run_ssta
 
 __all__ = [
     "flat_ocv_derates",
@@ -30,7 +29,4 @@ __all__ = [
     "spice_chain_mc",
     "ladder_comparison",
     "predicted_path_delta",
-    "GaussianArrival",
-    "SstaResult",
-    "run_ssta",
 ]

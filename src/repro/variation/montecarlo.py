@@ -167,11 +167,7 @@ def nominal_path_delay(sta, path: TimingPath) -> float:
 def _chain_mc_sample(n_stages: int, vdd: float, temp_c: float,
                      sigma_vt: float, dt: float, index: int,
                      rng: np.random.Generator) -> float:
-    """Build, perturb and simulate one inverter-chain MC sample.
-
-    Module-level (picklable) so :func:`repro.spice.montecarlo.
-    evaluate_samples` can fan samples out over a process pool.
-    """
+    """Build, perturb and simulate one inverter-chain MC sample."""
     from repro.spice.gates import add_inverter
     from repro.spice.measure import delay_between
     from repro.spice.network import GROUND, Circuit
@@ -207,8 +203,6 @@ def spice_chain_mc(
     seed: int = 0,
     sigma_vt: float = 0.03,
     dt: float = 1.0,
-    jobs: int = 1,
-    executor: str = "thread",
 ) -> np.ndarray:
     """Transistor-level MC of an inverter-chain delay.
 
@@ -216,14 +210,12 @@ def spice_chain_mc(
     (N(0, sigma_vt)) from its own spawned generator, and re-simulates.
     Returns total 50%-to-50% delays (ps). The distribution is
     right-skewed because delay grows super-linearly as overdrive
-    shrinks. Samples draw from per-sample seeds spawned off ``seed``, so
-    results are bit-identical for any ``jobs`` count.
+    shrinks. Samples draw from per-sample seeds spawned off ``seed``.
     """
     from functools import partial
 
     from repro.spice.montecarlo import evaluate_samples
 
     sample = partial(_chain_mc_sample, n_stages, vdd, temp_c, sigma_vt, dt)
-    delays = evaluate_samples(sample, n_samples, seed=seed, jobs=jobs,
-                              executor=executor)
+    delays = evaluate_samples(sample, n_samples, seed=seed)
     return np.asarray(delays, dtype=float)

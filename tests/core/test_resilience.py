@@ -14,26 +14,47 @@ from repro.core.resilience import (
 from repro.errors import SignoffError
 from repro.liberty import make_library
 from repro.netlist.generators import random_logic
-from repro.sta import STA, Constraints
-from repro.variation.ssta import GaussianArrival, SstaResult, run_ssta
+from repro.sta import Constraints
+from repro.sta.ssta import run_ssta
 
 
 @pytest.fixture(scope="module")
 def ssta():
     lib = make_library()
     d = random_logic(n_gates=150, n_levels=8, seed=11)
-    sta = STA(d, lib, Constraints.single_clock(520.0))
-    sta.report = sta.run()
-    return run_ssta(sta, global_sigma_frac=0.3)
+    return run_ssta(d, lib, Constraints.single_clock(520.0))
 
 
 BASE = 520.0
 
 
+@pytest.mark.parametrize("entry", [
+    lambda run: run.timing_yield(),
+    lambda run: run.timing_yield(BASE, sigma_scale=1.2),
+    lambda run: cycle_error_probability(run, 0.0),
+    lambda run: resilience_curve(run, BASE, [BASE]),
+    lambda run: worst_case_period(run, BASE),
+    lambda run: resilience_gain(run, BASE),
+], ids=["timing_yield", "timing_yield_scaled", "cycle_error_probability",
+        "resilience_curve", "worst_case_period", "resilience_gain"])
+def test_no_setup_endpoints_rejected(entry, synthetic_run):
+    """Every yield and resilience entry point refuses a run with no
+    setup endpoints with a structured SignoffError."""
+    with pytest.raises(SignoffError, match="no setup endpoints"):
+        entry(synthetic_run(np.zeros((16, 0))))
+
+
 class TestErrorProbability:
-    def test_empty_rejected(self):
-        with pytest.raises(SignoffError):
-            cycle_error_probability(SstaResult(), 0.0)
+    def test_mean_over_dies_of_per_die_product(self, synthetic_run):
+        """Die 0 has two failing endpoints, die 1 none: the error
+        probability is the die mean of 1 - (1 - activity)^failures."""
+        run = synthetic_run([[-1.0, -2.0, 5.0], [1.0, 2.0, 5.0]])
+        config = ResilienceConfig(endpoint_activity=0.1)
+        expected = 0.5 * (1.0 - 0.9 ** 2)
+        assert cycle_error_probability(run, 0.0, config) == \
+            pytest.approx(expected)
+        # A 3 ps slower clock rescues both endpoints on die 0.
+        assert cycle_error_probability(run, 3.0, config) == 0.0
 
     def test_monotone_in_period(self, ssta):
         """A faster clock (negative shift) makes errors more likely."""

@@ -1,18 +1,13 @@
 """Tests for parametric timing yield and the goalpost comparison."""
 
+import numpy as np
 import pytest
 
-from repro.core.yieldmodel import (
-    design_yield,
-    endpoint_pass_probability,
-    goalpost_sweep,
-    minimum_passing_period,
-)
-from repro.errors import SignoffError
+from repro.core.yieldmodel import goalpost_sweep, minimum_passing_period
 from repro.liberty import make_library
 from repro.netlist.generators import random_logic
-from repro.sta import STA, Constraints
-from repro.variation.ssta import GaussianArrival, SstaResult, run_ssta
+from repro.sta import Constraints
+from repro.sta.ssta import run_ssta
 
 
 @pytest.fixture(scope="module")
@@ -23,67 +18,60 @@ def lib():
 @pytest.fixture(scope="module")
 def ssta(lib):
     d = random_logic(n_gates=150, n_levels=8, seed=11)
-    sta = STA(d, lib, Constraints.single_clock(540.0))
-    sta.report = sta.run()
-    return run_ssta(sta, global_sigma_frac=0.3)
+    return run_ssta(d, lib, Constraints.single_clock(540.0))
 
 
-def synthetic_result(slacks):
-    result = SstaResult()
-    from repro.netlist.design import PinRef
-
-    for i, (mean, s_local, s_global) in enumerate(slacks):
-        result.endpoint_slacks[PinRef(f"f{i}", "D")] = GaussianArrival(
-            mean, sigma_local=s_local, sigma_global=s_global
-        )
-    return result
+def gaussian_slacks(means, sigma, rho=0.0, n=20000, seed=1):
+    """(n, len(means)) slack draws; every endpoint pair shares a source
+    with correlation ``rho``."""
+    rng = np.random.default_rng(seed)
+    shared = rng.standard_normal((n, 1))
+    own = rng.standard_normal((n, len(means)))
+    z = rho * shared + np.sqrt(1.0 - rho * rho) * own
+    return np.asarray(means, dtype=float) + sigma * z
 
 
 class TestEndpointProbability:
-    def test_huge_positive_slack_is_certain(self):
-        r = synthetic_result([(100.0, 2.0, 1.0)])
-        ep = next(iter(r.endpoint_slacks))
-        assert endpoint_pass_probability(r, ep) == pytest.approx(1.0)
+    """Yield of a one-endpoint run is that endpoint's pass probability."""
 
-    def test_huge_negative_slack_is_doomed(self):
-        r = synthetic_result([(-100.0, 2.0, 1.0)])
-        ep = next(iter(r.endpoint_slacks))
-        assert endpoint_pass_probability(r, ep) == pytest.approx(0.0)
+    def test_huge_positive_slack_is_certain(self, synthetic_run):
+        run = synthetic_run(gaussian_slacks([100.0], 2.2))
+        assert run.timing_yield() == pytest.approx(1.0)
 
-    def test_zero_mean_is_coin_flip(self):
-        r = synthetic_result([(0.0, 2.0, 0.0)])
-        ep = next(iter(r.endpoint_slacks))
-        assert endpoint_pass_probability(r, ep) == pytest.approx(0.5,
-                                                                 abs=0.01)
+    def test_huge_negative_slack_is_doomed(self, synthetic_run):
+        run = synthetic_run(gaussian_slacks([-100.0], 2.2))
+        assert run.timing_yield() == pytest.approx(0.0)
 
-    def test_sigma_scale_moves_marginal_endpoint(self):
-        r = synthetic_result([(3.0, 2.0, 1.0)])
-        ep = next(iter(r.endpoint_slacks))
-        assert endpoint_pass_probability(r, ep, sigma_scale=0.5) > \
-            endpoint_pass_probability(r, ep, sigma_scale=2.0)
+    def test_zero_mean_is_coin_flip(self, synthetic_run):
+        run = synthetic_run(gaussian_slacks([0.0], 2.0))
+        assert run.timing_yield() == pytest.approx(0.5, abs=0.01)
+
+    def test_sigma_scale_moves_marginal_endpoint(self, synthetic_run):
+        run = synthetic_run(gaussian_slacks([3.0], 2.2))
+        assert run.timing_yield(sigma_scale=0.5) > \
+            run.timing_yield(sigma_scale=2.0)
 
 
 class TestDesignYield:
-    def test_empty_result_rejected(self):
-        with pytest.raises(SignoffError):
-            design_yield(SstaResult())
+    def test_yield_below_worst_endpoint(self, synthetic_run):
+        both = gaussian_slacks([3.0, 50.0], 2.0)
+        worst_only = both[:, :1]
+        assert synthetic_run(both).timing_yield() <= \
+            synthetic_run(worst_only).timing_yield() + 1e-9
 
-    def test_yield_below_worst_endpoint(self):
-        r = synthetic_result([(3.0, 2.0, 0.0), (50.0, 2.0, 0.0)])
-        worst_ep = next(iter(r.endpoint_slacks))
-        assert design_yield(r) <= \
-            endpoint_pass_probability(r, worst_ep) + 1e-9
-
-    def test_correlated_endpoints_yield_higher_than_independent(self):
+    def test_correlated_endpoints_yield_higher_than_independent(
+            self, synthetic_run):
         """Global correlation helps: endpoints fail together or pass
         together, so total yield exceeds the independent product."""
-        correlated = synthetic_result([(4.0, 0.5, 3.0)] * 8)
-        independent = synthetic_result([(4.0, 3.04, 0.0)] * 8)
-        assert design_yield(correlated) > design_yield(independent)
+        correlated = gaussian_slacks([4.0] * 8, 3.04, rho=0.98)
+        independent = gaussian_slacks([4.0] * 8, 3.04, rho=0.0)
+        assert synthetic_run(correlated).timing_yield() > \
+            synthetic_run(independent).timing_yield()
 
     def test_real_ssta_yield_in_unit_interval(self, ssta):
-        y = design_yield(ssta)
-        assert 0.0 <= y <= 1.0
+        for scale in (0.8, 1.0, 1.2):
+            y = ssta.timing_yield(sigma_scale=scale)
+            assert 0.0 <= y <= 1.0
 
 
 class TestGoalpostSweep:
@@ -129,3 +117,15 @@ class TestGoalpostSweep:
     def test_no_passing_period_returns_none(self, comparisons):
         hopeless = [c for c in comparisons if not c.corner_passes]
         assert minimum_passing_period(hopeless, "corner") is None
+
+    def test_one_ssta_run_matches_a_rerun_per_period(self, lib,
+                                                     comparisons):
+        """Reading other periods off one sampled run is exact: setup
+        slack is linear in the period, so a rerun at the period agrees."""
+        d = random_logic(n_gates=150, n_levels=8, seed=11)
+        c = Constraints.single_clock(540.0)
+        c.input_delays = {f"in{i}": 60.0 for i in range(32)}
+        rerun = run_ssta(d, lib, c)
+        at_540 = next(x for x in comparisons if x.period == 540.0)
+        assert rerun.timing_yield() == pytest.approx(at_540.yield_estimate,
+                                                     abs=1e-9)

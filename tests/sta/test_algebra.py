@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.liberty import make_library
 from repro.netlist.generators import random_logic
@@ -103,6 +105,20 @@ class TestCanonicalForm:
         # Only the shared dimension correlates; indep never does.
         assert a.covariance(b) == pytest.approx(6.0)
 
+    def test_sigma_combines_shared_and_residual(self):
+        a = form(10.0, {0: 4.0}, indep=3.0)
+        assert a.sigma() == pytest.approx(5.0)
+
+    def test_add_rss_combines_residuals(self):
+        s = form(10.0, {}, indep=3.0) + form(5.0, {}, indep=4.0)
+        assert s.mean == pytest.approx(15.0)
+        assert s.indep == pytest.approx(5.0)
+
+    def test_add_shared_sensitivities_linearly(self):
+        s = form(0.0, {0: 2.0}) + form(1.0, {0: 3.0})
+        assert s.coeffs[0] == pytest.approx(5.0)
+        assert s.sigma() == pytest.approx(5.0)
+
     def test_orders_and_formats_by_mean(self):
         a = form(10.0, {0: 100.0})  # huge sigma, small mean
         b = form(11.0, {})
@@ -134,6 +150,8 @@ class TestClarkMax:
         (form(100.0, {0: 8.0}, indep=3.0), form(98.0, {0: 5.0, 1: 6.0})),
         (form(50.0, {1: 10.0}), form(50.0, {2: 10.0})),      # tie, indep
         (form(30.0, {0: 4.0}), form(10.0, {0: 4.0})),         # far apart
+        (form(100.0, {2: 1.0}), form(0.0, {3: 1.0})),         # dominant
+        (form(10.0, {2: 3.0}), form(12.0, {3: 2.0})),         # overlap
     ])
     def test_matches_sampled_moments(self, a, b):
         alg = CanonicalAlgebra(None, MODEL)
@@ -143,6 +161,13 @@ class TestClarkMax:
         assert m.mean == pytest.approx(float(ref.mean()), abs=0.15)
         assert m.sigma() == pytest.approx(float(ref.std()), rel=0.03,
                                           abs=0.15)
+
+    def test_equal_independent_inputs_mean_exceeds_both(self):
+        """E[max of two equal iid Gaussians] = mu + sigma/sqrt(pi)."""
+        alg = CanonicalAlgebra(None, MODEL)
+        m = alg.max(form(10.0, {}, indep=2.0), form(10.0, {}, indep=2.0))
+        assert m.mean == pytest.approx(10.0 + 2.0 / math.sqrt(math.pi),
+                                       rel=1e-3)
 
     def test_min_is_negated_max(self):
         alg = CanonicalAlgebra(None, MODEL)
@@ -162,6 +187,46 @@ class TestClarkMax:
         assert alg.min(a, math.inf) is a
         assert alg.max(math.inf, a) == math.inf
         assert alg.min(-math.inf, a) == -math.inf
+
+    forms = st.builds(
+        lambda mean, g, slot, private, indep: form(
+            mean, {0: g, slot: private}, indep),
+        mean=st.floats(-100.0, 100.0),
+        g=st.floats(0.0, 10.0),
+        slot=st.integers(MODEL.n_sources, MODEL.dim - 1),
+        private=st.floats(0.01, 20.0),
+        indep=st.floats(0.0, 5.0),
+    )
+
+    @given(a=forms, b=forms)
+    @settings(max_examples=50, deadline=None)
+    def test_symmetry(self, a, b):
+        alg = CanonicalAlgebra(None, MODEL)
+        m1, m2 = alg.max(a, b), alg.max(b, a)
+        assert m1.mean == pytest.approx(m2.mean, rel=1e-6, abs=1e-6)
+        assert m1.sigma() == pytest.approx(m2.sigma(), rel=1e-5, abs=1e-6)
+
+    @given(a=forms, b=forms)
+    @settings(max_examples=50, deadline=None)
+    def test_sigma_bounded_by_inputs(self, a, b):
+        m = CanonicalAlgebra(None, MODEL).max(a, b)
+        assert m.sigma() <= max(a.sigma(), b.sigma()) + 1e-6
+
+    @given(a=forms, b=forms)
+    @settings(max_examples=50, deadline=None)
+    def test_mean_at_least_both_means(self, a, b):
+        m = CanonicalAlgebra(None, MODEL).max(a, b)
+        assert m.mean >= max(a.mean, b.mean) - 1e-9
+
+    @given(a=forms, shift=st.floats(0.0, 50.0))
+    @settings(max_examples=40, deadline=None)
+    def test_translation_invariance(self, a, shift):
+        alg = CanonicalAlgebra(None, MODEL)
+        b = form(a.mean - 10.0, {MODEL.n_sources: 2.0})
+        m0 = alg.max(a, b)
+        m1 = alg.max(a + shift, b + shift)
+        assert m1.mean - m0.mean == pytest.approx(shift, abs=1e-6)
+        assert m1.sigma() == pytest.approx(m0.sigma(), abs=1e-6)
 
     def test_degenerate_cases_select(self):
         alg = CanonicalAlgebra(None, MODEL)

@@ -9,7 +9,7 @@ from repro.errors import TimingError
 from repro.liberty import make_library
 from repro.netlist.generators import random_logic
 from repro.sta import STA, Constraints
-from repro.sta.algebra import CanonicalAlgebra, VariationModel
+from repro.sta.algebra import CanonicalAlgebra, CanonicalForm, VariationModel
 from repro.sta.ssta import (
     SstaRun,
     monte_carlo_ssta,
@@ -67,6 +67,41 @@ class TestMcValidation:
                                                    abs=0.05)
 
 
+    def test_wired_canonical_matches_wired_mc(self):
+        """Statistical SPEF: with wire-delay sigmas from the same BEOL
+        stack on both sides, canonical moments and yield stay inside the
+        5% gate, and wire variation only widens the worst endpoint."""
+        from repro.beol.stack import default_stack
+
+        design, lib, cons = make_setup(11)
+        # Stretch the placement so wires carry real delay.
+        for inst in design.instances.values():
+            if inst.location is not None:
+                inst.location = (inst.location[0] * 4.0, inst.location[1])
+        cons.input_delays = {f"in{i}": 60.0 for i in range(10)}
+        model, stack = VariationModel(), default_stack()
+        run = run_ssta(design, lib, cons, model=model, n_samples=4000,
+                       wire_stack=stack)
+        mc = monte_carlo_ssta(design, lib, cons, model=model,
+                              n_samples=2000, wire_stack=stack)
+        for ep in run.endpoints:
+            mc_mean, mc_sigma = mc.setup_moments[str(ep.endpoint)]
+            denom = max(abs(mc_mean), mc_sigma, 1e-9)
+            assert abs(ep.mean - mc_mean) / denom < 0.05, str(ep.endpoint)
+            if mc_sigma > 0.5:
+                assert abs(ep.sigma - mc_sigma) / mc_sigma < 0.05, \
+                    str(ep.endpoint)
+        assert 0.0 < mc.timing_yield < 1.0
+        assert run.timing_yield() == pytest.approx(mc.timing_yield,
+                                                   abs=0.05)
+
+        base = run_ssta(design, lib, cons, model=model, n_samples=512)
+        worst = min(base.endpoints, key=lambda e: e.mean)
+        wired = next(e for e in run.endpoints
+                     if e.endpoint == worst.endpoint)
+        assert wired.sigma > worst.sigma
+
+
 class TestSstaRun:
     def test_requires_lvf(self):
         from repro.liberty.lvf import strip_lvf
@@ -76,12 +111,52 @@ class TestSstaRun:
         with pytest.raises(TimingError, match="LVF"):
             run_ssta(design, lib, cons)
 
+    def test_requires_completed_run(self):
+        design, lib, cons = make_setup(2, n_gates=40)
+        sta = STA(design, lib, cons,
+                  algebra=CanonicalAlgebra(design, VariationModel()))
+        with pytest.raises(TimingError, match="run"):
+            SstaRun(sta, VariationModel())
+
     def test_requires_canonical_algebra(self):
         design, lib, cons = make_setup(2, n_gates=40)
         sta = STA(design, lib, cons)
         sta.run()
         with pytest.raises(TimingError, match="Canonical"):
             SstaRun(sta, VariationModel())
+
+    def test_endpoint_sigmas_positive(self, bench):
+        """An endpoint behind at least one cell stage carries variation;
+        a flop fed straight from an input port (wire only) does not."""
+        _, _, _, run = bench
+        for ep, result in zip(run.endpoints, run.setup_results):
+            has_cell_stage = len(run.sta.worst_path(result).points) > 2
+            assert (ep.sigma > 0.0) == has_cell_stage, str(ep.endpoint)
+
+    def test_statistical_mean_at_most_det_slack(self, bench):
+        """Clark's max never undershoots the larger mean, so a slack
+        mean sits at or below the deterministic slack."""
+        design, lib, cons, run = bench
+        det = {str(e.endpoint): e.slack for e in STA(design, lib, cons)
+               .run().setup}
+        for ep in run.endpoints:
+            assert ep.mean <= det[str(ep.endpoint)] + 1e-6, str(ep.endpoint)
+
+    def test_rho_sets_global_share(self):
+        """rho = 0 leaves every slack on private slots only; rho > 0
+        puts part of it on the shared global sources."""
+        design, lib, cons = make_setup(2, n_gates=40)
+
+        def global_weight(rho):
+            run = run_ssta(design, lib, cons, model=VariationModel(rho=rho),
+                           n_samples=16)
+            n = run.model.n_sources
+            return max(float(np.abs(e.slack.coeffs[:n]).max())
+                       for e in run.setup_results
+                       if isinstance(e.slack, CanonicalForm))
+
+        assert global_weight(0.0) == 0.0
+        assert global_weight(0.8) > 0.0
 
     def test_criticalities_sum_to_one(self, bench):
         _, _, _, run = bench

@@ -18,7 +18,6 @@ from repro.core.margins import MarginStackup
 from repro.cts.useful_skew import SkewStage, schedule_useful_skew
 from repro.flops.model import default_flop_model
 from repro.flops.recovery import Stage, recover_margin
-from repro.variation.ssta import GaussianArrival, clark_max
 
 
 _PROPERTY_LIB = None
@@ -174,41 +173,6 @@ class TestBtiProperties:
         shift = bti.accumulate(segments)
         assert bti.delta_vt(total_time, v_lo) - 1e-12 <= shift
         assert shift <= bti.delta_vt(total_time, v_hi) + 1e-12
-
-
-class TestClarkMaxProperties:
-    arrivals = st.builds(
-        GaussianArrival,
-        mean=st.floats(-100.0, 100.0),
-        sigma_local=st.floats(0.01, 20.0),
-        sigma_global=st.floats(0.0, 10.0),
-    )
-
-    @given(a=arrivals, b=arrivals)
-    @settings(max_examples=50, deadline=None)
-    def test_symmetry(self, a, b):
-        m1 = clark_max(a, b)
-        m2 = clark_max(b, a)
-        assert m1.mean == pytest.approx(m2.mean, rel=1e-6, abs=1e-6)
-        assert m1.sigma_local == pytest.approx(m2.sigma_local, rel=1e-5,
-                                               abs=1e-6)
-
-    @given(a=arrivals, b=arrivals)
-    @settings(max_examples=50, deadline=None)
-    def test_sigma_bounded_by_inputs(self, a, b):
-        m = clark_max(a, b)
-        assert m.sigma_local <= max(a.sigma_local, b.sigma_local) + 1e-6
-
-    @given(a=arrivals, shift=st.floats(0.0, 50.0))
-    @settings(max_examples=40, deadline=None)
-    def test_translation_invariance(self, a, shift):
-        b = GaussianArrival(a.mean - 10.0, sigma_local=2.0)
-        m0 = clark_max(a, b)
-        m1 = clark_max(
-            GaussianArrival(a.mean + shift, a.sigma_local, a.sigma_global),
-            GaussianArrival(b.mean + shift, b.sigma_local, b.sigma_global),
-        )
-        assert m1.mean - m0.mean == pytest.approx(shift, abs=1e-6)
 
 
 class TestRecoveryProperties:
