@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.beol.corners import BeolCorner, LayerScales
-from repro.beol.stack import BeolStack
+from repro.beol.stack import BeolStack, MetalLayer
 from repro.errors import CornerError
 from repro.liberty.library import Library
 from repro.netlist.design import Design, Net, PinRef
@@ -73,6 +73,33 @@ class NetParasitics:
         return 2.0 * self.wire_delay(sink, sink_pin_cap)
 
 
+def net_length(design: Design, net: Net) -> float:
+    """Routed-length estimate: placement HPWL with a fanout floor."""
+    hpwl = design.net_hpwl(net.name)
+    floor = _UNPLACED_BASE + _UNPLACED_PER_FANOUT * max(net.fanout - 1, 0)
+    return max(hpwl, floor if net.fanout else 0.0)
+
+
+def layer_rc_per_um(layer: MetalLayer, corner: BeolCorner, temp_c: float,
+                    ndr: bool) -> Tuple[float, float, float]:
+    """(R kohm/um, ground C fF/um, coupling C fF/um) of one routing rule
+    — a layer, NDR or not — at an extraction corner and temperature.
+
+    Corner-independent net geometry times these per-um values gives
+    every extracted quantity, so the vector kernel scales one geometry
+    table per corner with exactly this arithmetic.
+    """
+    scales = corner.layer_scales(layer.name)
+    r_per_um = layer.r_at(temp_c) * scales.r
+    cg_per_um = layer.c_ground_per_um * scales.c_ground
+    cc_per_um = layer.c_coupling_per_um * scales.c_coupling
+    if ndr:
+        r_per_um *= _NDR_R_SCALE
+        cg_per_um *= _NDR_CG_SCALE
+        cc_per_um *= _NDR_CC_SCALE
+    return r_per_um, cg_per_um, cc_per_um
+
+
 class ParasiticExtractor:
     """Synthesizes :class:`NetParasitics` for every net of a design."""
 
@@ -111,24 +138,11 @@ class ParasiticExtractor:
 
     # ------------------------------------------------------------------ #
 
-    def net_length(self, net: Net) -> float:
-        """Routed-length estimate: placement HPWL with a fanout floor."""
-        hpwl = self.design.net_hpwl(net.name)
-        floor = _UNPLACED_BASE + _UNPLACED_PER_FANOUT * max(net.fanout - 1, 0)
-        return max(hpwl, floor if net.fanout else 0.0)
-
     def _extract(self, net: Net) -> NetParasitics:
-        length = self.net_length(net)
+        length = net_length(self.design, net)
         layer = self.stack.layer_for_route(length, ndr=net.ndr)
-        scales = self.corner.layer_scales(layer.name)
-
-        r_per_um = layer.r_at(self.temp_c) * scales.r
-        cg_per_um = layer.c_ground_per_um * scales.c_ground
-        cc_per_um = layer.c_coupling_per_um * scales.c_coupling
-        if net.ndr:
-            r_per_um *= _NDR_R_SCALE
-            cg_per_um *= _NDR_CG_SCALE
-            cc_per_um *= _NDR_CC_SCALE
+        r_per_um, cg_per_um, cc_per_um = layer_rc_per_um(
+            layer, self.corner, self.temp_c, net.ndr)
 
         coupling_cap = cc_per_um * length * 0.5  # half the run has neighbours
         wire_cap = cg_per_um * length + coupling_cap + net.extra_cap

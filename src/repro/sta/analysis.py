@@ -149,8 +149,8 @@ class STA:
         by walking the CK pin's late backpointers to the clock root and
         matching that root against the defined clock ports. Returns None
         when the root is not a constrained clock port. Deliberately
-        stateless: :class:`~repro.sta.kernel.CornerView` reuses the
-        endpoint methods without running ``STA.__init__``.
+        stateless: :class:`~repro.sta.kernel.CornerView` inherits it
+        without running ``STA.__init__``.
         """
         clocks = self.constraints.clocks
         if len(clocks) == 1:

@@ -181,6 +181,38 @@ class TestSignoffTracing:
         assert all(s.parent_id in scenario_ids
                    for s in by_name["sta_run"])
 
+    def test_vector_signoff_spans_split_compile_and_reports(self, lib,
+                                                            lib_ss):
+        """The vector engine's layers are named spans: compile phases
+        nest under ``kernel_compile`` and one ``kernel_report`` per
+        corner nests under ``vector_signoff``, so report building does
+        not hide in the signoff span's self time."""
+        scenarios = make_scenarios(lib, lib_ss)
+        tracer = Tracer()
+        with obs_tracing.use(tracer):
+            outcome = SignoffScheduler(
+                scenarios, jobs=1, engine="vector"
+            ).signoff(make_design())
+        assert len(outcome.reports) == len(scenarios)
+        spans = tracer.spans()
+        by_name = {}
+        for s in spans:
+            by_name.setdefault(s.name, []).append(s)
+        (vector,) = by_name["vector_signoff"]
+        (compile_span,) = by_name["kernel_compile"]
+        assert compile_span.parent_id == vector.span_id
+        phases = [s.name for s in children(spans, compile_span)]
+        assert phases == ["kernel_compile.index", "kernel_compile.tables",
+                          "kernel_compile.statics"]
+        reports = by_name["kernel_report"]
+        assert [s.attrs["corner"] for s in reports] == \
+            [s.name for s in scenarios]
+        assert all(s.parent_id == vector.span_id for s in reports)
+        summary = summarize(chrome_trace(spans)["traceEvents"])
+        assert summary.phase("kernel_report").count == len(scenarios)
+        for name in phases:
+            assert summary.phase(name) is not None
+
     def test_span_ids_deterministic_across_jobs_counts(self, lib, lib_ss):
         scenarios = make_scenarios(lib, lib_ss)
 

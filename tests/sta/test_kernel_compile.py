@@ -14,6 +14,7 @@ mis-stacked tensor would time the wrong cell.
 """
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ from repro.beol.corners import conventional_corners
 from repro.beol.stack import default_stack
 from repro.errors import TimingError
 from repro.liberty import make_library
+from repro.liberty.aocv import AocvTable
 from repro.liberty.stdcells import LibraryCondition
 from repro.liberty.tables import LookupTable2D
 from repro.netlist.generators import random_logic
+from repro.parasitics.synthesis import ParasiticExtractor
 from repro.sta import Constraints
 from repro.sta.graph import NetEdge
 from repro.sta.kernel import (
@@ -33,7 +36,7 @@ from repro.sta.kernel import (
     KernelCompileError,
     compile_kernel,
 )
-from repro.sta.propagation import DIRECTIONS
+from repro.sta.propagation import DIRECTIONS, Derates
 
 
 @pytest.fixture(scope="module")
@@ -261,3 +264,157 @@ class TestLifecycle:
             2 * (kernel.n_net_expansions + kernel.n_cell_expansions)
         assert stats["batch_ops"] <= 2 * kernel.n_levels
         assert kernel.work_ratio() > 1.0
+
+
+# ---------------------------------------------------------------------- #
+# per-corner statics against the scalar code paths
+
+
+@pytest.fixture(scope="module")
+def statics_batch(libs, stack):
+    """A design with NDR nets, optimization-added cap and unplaced
+    instances, compiled over corners that exercise AOCV, per-instance
+    derates, flat derates and SI."""
+    design = random_logic(n_inputs=6, n_outputs=6, n_gates=80,
+                          n_levels=5, seed=33)
+    design.bind(libs["tt"])  # driver/load lists
+    nets = sorted(name for name, net in design.nets.items()
+                  if net.driver is not None and net.loads)
+    for name in nets[::4]:
+        design.nets[name].ndr = True
+    for k, name in enumerate(nets[1::6]):
+        design.nets[name].extra_cap = 0.3 + 0.2 * k
+    gates = sorted(inst.name for inst in
+                   design.combinational_instances(libs["tt"]))
+    for name in gates[::9]:
+        design.instance(name).location = None
+    constraints = Constraints.single_clock(500.0)
+    constraints.input_delays = {f"in{i}": 30.0 for i in range(6)}
+    corners = conventional_corners(stack)
+    inst_late = {name: 1.0 + 0.01 * k for k, name in enumerate(gates[:7])}
+    inst_early = {name: 1.0 - 0.01 * k
+                  for k, name in enumerate(gates[3:9])}
+    specs = [
+        CornerSpec(name="tt_typ", library=libs["tt"],
+                   beol_corner=corners["typ"], temp_c=25.0),
+        CornerSpec(name="ss_cw_aocv", library=libs["ss"],
+                   beol_corner=corners["cw"], temp_c=125.0,
+                   derates=Derates(
+                       data_late=1.03, clock_early=0.98,
+                       aocv=AocvTable.from_reference_sigma(0.05),
+                       aocv_distance=60.0,
+                       instance_late=inst_late,
+                       instance_early=inst_early,
+                   )),
+        CornerSpec(name="tt_rcw_si", library=libs["tt"],
+                   beol_corner=corners["rcw"], temp_c=-40.0,
+                   derates=Derates(data_late=1.05, clock_late=1.02),
+                   si_enabled=True),
+    ]
+    kernel = compile_kernel(design, constraints, specs, stack=stack)
+    kernel.run()
+    extractors = [
+        ParasiticExtractor(design, s.library, stack, s.beol_corner,
+                           temp_c=s.temp_c)
+        for s in specs
+    ]
+    return design, constraints, kernel, extractors
+
+
+def _pin_cap(library, design, ref):
+    if ref.is_port:
+        return 2.0
+    cell = library.cell(design.instance(ref.instance).cell_name)
+    return cell.pin(ref.pin).capacitance
+
+
+class TestCompiledStatics:
+    """Every per-corner static equals the scalar value exactly (==):
+    the array fill keeps the extractor's and derates' float grouping."""
+
+    def test_fixture_covers_the_special_cases(self, statics_batch):
+        design, _, kernel, extractors = statics_batch
+        edges = kernel._unique_net_edges
+        assert any(design.get_net(e.net_name).ndr for e in edges)
+        assert any(design.get_net(e.net_name).extra_cap for e in edges)
+        assert any(e.sink.is_port for e in edges)
+        assert any(
+            design.net_hpwl(e.net_name) == 0.0 for e in edges
+        ), "fixture should include an unplaced (fanout-floor) net"
+
+    def test_wire_statics_match_extractor(self, statics_batch):
+        design, _, kernel, extractors = statics_batch
+        for ci, para in enumerate(extractors):
+            lib = kernel.corners[ci].library
+            si = kernel.si_delta_for(ci) or {}
+            for ne, edge in enumerate(kernel._unique_net_edges):
+                np_ = para.extract(edge.net_name)
+                pin_cap = _pin_cap(lib, design, edge.sink)
+                base = np_.wire_delay(edge.sink, pin_cap)
+                degrade = np_.slew_degradation(edge.sink, pin_cap)
+                delta = si.get(edge.net_name, 0.0)
+                for d in (0, 1):
+                    e = kernel._net_rows[2 * ne + d]
+                    assert kernel._wire_base[e, ci] == base
+                    assert kernel._wire_degrade[e, ci] == degrade
+                    assert kernel._wire_delta[e, ci] == delta
+                    assert kernel._wire_early[e, ci] == max(base - delta,
+                                                            0.0)
+        assert kernel.si_delta_for(2), "SI corner should see coupling"
+
+    def test_loads_match_extractor(self, statics_batch):
+        design, _, kernel, extractors = statics_batch
+        for ci, para in enumerate(extractors):
+            for ce, edge in enumerate(kernel._unique_cell_edges):
+                net_name = design.instance(edge.instance).net_of(
+                    edge.arc.pin)
+                want = para.extract(net_name).driver_load(
+                    para.pin_caps_total(net_name))
+                assert kernel._uload[ce, ci] == want
+            rows = kernel._cell_rows
+            assert np.array_equal(kernel._load[rows, ci],
+                                  kernel._uload[kernel._cell_edge_of, ci])
+
+    def test_slew_limits_match_library(self, statics_batch):
+        design, constraints, kernel, _ = statics_batch
+        for ci, spec in enumerate(kernel.corners):
+            lib = spec.library
+            default = constraints.max_transition or \
+                lib.default_max_transition
+            for i, ref in enumerate(kernel.pins):
+                if ref.is_port:
+                    assert kernel._slew_limit[i, ci] == math.inf
+                    continue
+                cell = lib.cell(design.instance(ref.instance).cell_name)
+                want = cell.pin(ref.pin).max_transition or default
+                assert kernel._slew_limit[i, ci] == want
+
+    def test_derate_factors_match_scalar(self, statics_batch):
+        _, _, kernel, _ = statics_batch
+        graph = kernel.graph
+        for ci, spec in enumerate(kernel.corners):
+            for e in kernel._cell_rows:
+                edge = kernel.e_edge[e]
+                is_clock = edge.src in graph.clock_pins
+                depth = graph.data_depth.get(edge.dst, 1)
+                for mode, arr in (("late", kernel._factor_late),
+                                  ("early", kernel._factor_early)):
+                    want = spec.derates.factor(is_clock, mode, depth,
+                                               edge.instance)
+                    assert arr[e, ci] == want
+            assert np.all(kernel._factor_late[kernel._net_rows, ci] == 1.0)
+
+    def test_startpoints_match_origin_walk(self, statics_batch):
+        _, _, kernel, _ = statics_batch
+        for ci in range(len(kernel.corners)):
+            view = kernel.view(ci)
+            report = kernel.report(ci)
+            kinds = set()
+            for e in report.setup + report.hold:
+                mode = "early" if e.kind == "hold" else "late"
+                origin = view._origin(e.endpoint, e.data_direction, mode)
+                assert e.startpoint == origin
+                assert e.launched_from_clock == \
+                    (origin in kernel.graph.clock_pins)
+                kinds.add(e.kind)
+            assert kinds == {"setup", "hold", "output"}

@@ -30,7 +30,7 @@ from repro.liberty import make_library
 from repro.liberty.aocv import AocvTable
 from repro.liberty.stdcells import LibraryCondition
 from repro.netlist.design import Design, PortDirection
-from repro.netlist.generators import random_logic
+from repro.netlist.generators import hierarchical_soc, random_logic
 from repro.netlist.transforms import downsize, swap_vt, upsize
 from repro.sta import STA, Constraints
 from repro.sta.cppr import endpoint_cppr_credit
@@ -143,16 +143,20 @@ def assert_report_equal(got, want):
     for mode in ("setup", "hold"):
         assert got.wns(mode) == pytest.approx(want.wns(mode), abs=TOL)
         assert got.tns(mode) == pytest.approx(want.tns(mode), abs=TOL)
+        # Same endpoints in the same (slack-sorted) order.
+        assert [e.endpoint for e in got.endpoints(mode)] == \
+            [e.endpoint for e in want.endpoints(mode)]
         ref_eps = {e.endpoint: e for e in want.endpoints(mode)}
         got_eps = {e.endpoint: e for e in got.endpoints(mode)}
-        assert set(got_eps) == set(ref_eps)
         for endpoint, ref_ep in ref_eps.items():
             got_ep = got_eps[endpoint]
+            assert got_ep.kind == ref_ep.kind
             assert got_ep.slack == pytest.approx(ref_ep.slack, abs=TOL)
             assert got_ep.arrival == pytest.approx(ref_ep.arrival, abs=TOL)
             assert got_ep.required == pytest.approx(ref_ep.required, abs=TOL)
             assert got_ep.data_direction == ref_ep.data_direction
             assert got_ep.startpoint == ref_ep.startpoint
+            assert got_ep.launched_from_clock == ref_ep.launched_from_clock
     ref_slews = {v.ref: (v.slew, v.limit) for v in want.slew_violations}
     got_slews = {v.ref: (v.slew, v.limit) for v in got.slew_violations}
     assert set(got_slews) == set(ref_slews)
@@ -199,6 +203,68 @@ class TestMcmmEquivalence:
         for ci, ref_sta in enumerate(oracles):
             assert_propagation_equal(kernel.materialize_prop(ci), ref_sta)
             assert_report_equal(kernel.report(ci), ref_sta.report)
+
+    def test_ndr_and_extra_cap_nets(self, libs, stack):
+        """NDR promotion and optimization-added cap change a net's layer
+        rule and wire cap; both must scale per corner exactly as the
+        extractor does, across BEOL corners and temperatures."""
+        design = _make_design(seed=7)
+        design.bind(libs["tt"])  # driver/load lists
+        nets = sorted(name for name, net in design.nets.items()
+                      if net.driver is not None and net.loads)
+        for name in nets[::5]:
+            design.nets[name].ndr = True
+        for k, name in enumerate(nets[2::7]):
+            design.nets[name].extra_cap = 0.5 + 0.25 * k
+        constraints = _make_constraints()
+        corners = conventional_corners(stack)
+        specs = [
+            CornerSpec(name="ss_cw_hot", library=libs["ss"],
+                       beol_corner=corners["cw"], temp_c=125.0),
+            CornerSpec(name="tt_rcb_cold", library=libs["tt"],
+                       beol_corner=corners["rcb"], temp_c=-40.0,
+                       derates=Derates(data_late=1.04, data_early=0.96)),
+        ]
+        oracles = [_oracle(design, constraints, s, stack) for s in specs]
+        kernel = compile_kernel(design, constraints, specs, stack=stack)
+        kernel.run()
+        for ci, ref_sta in enumerate(oracles):
+            assert_propagation_equal(kernel.materialize_prop(ci), ref_sta)
+            assert_report_equal(kernel.report(ci), ref_sta.report)
+
+
+# ---------------------------------------------------------------------- #
+# multi-clock capture
+
+
+class TestMultiClockEquivalence:
+    def test_three_domain_capture_matches_reference(self, libs, stack):
+        """Three clock domains with distinct periods: every check must
+        resolve its own capture clock, as the reference's backpointer
+        walk from the CK pin does."""
+        hier = hierarchical_soc(seed=3, n_blocks=3, with_feedthrough=False)
+        design = hier.flatten()
+        constraints = hier.top_constraints(
+            period=800.0, periods={"b1": 640.0, "b2": 560.0})
+        assert len(constraints.clocks) == 3
+        corners = conventional_corners(stack)
+        specs = [
+            CornerSpec(name="tt_typ", library=libs["tt"],
+                       beol_corner=corners["typ"], temp_c=25.0),
+            CornerSpec(name="ss_cw", library=libs["ss"],
+                       beol_corner=corners["cw"], temp_c=125.0,
+                       derates=Derates(data_late=1.05, clock_early=0.97)),
+        ]
+        oracles = [_oracle(design, constraints, s, stack) for s in specs]
+        kernel = compile_kernel(design, constraints, specs, stack=stack)
+        kernel.run()
+        for ci, ref_sta in enumerate(oracles):
+            report = kernel.report(ci)
+            assert_report_equal(report, ref_sta.report)
+            domains = {e.endpoint.instance.split("_", 1)[0]
+                       for e in report.endpoints("setup")
+                       if e.kind == "setup"}
+            assert domains == {"b0", "b1", "b2"}
 
 
 # ---------------------------------------------------------------------- #

@@ -58,11 +58,17 @@ class TestMcValidation:
                     str(ep.endpoint)
 
     def test_mc_and_canonical_yield_agree(self):
-        design, lib, cons = make_setup(5, period=560.0)
+        # Input delays keep input-fed flops out of hold violation, and
+        # the period puts setup yield mid-range: a yield pinned at 0 or 1
+        # on both sides would agree vacuously.
+        design, lib, cons = make_setup(5, period=520.0)
+        cons.input_delays = {f"in{i}": 60.0 for i in range(10)}
         model = VariationModel()
         run = run_ssta(design, lib, cons, model=model, n_samples=4000)
         mc = monte_carlo_ssta(design, lib, cons, model=model,
                               n_samples=2000)
+        assert 0.05 < run.timing_yield() < 0.95
+        assert 0.05 < mc.timing_yield < 0.95
         assert run.timing_yield() == pytest.approx(mc.timing_yield,
                                                    abs=0.05)
 
