@@ -44,7 +44,7 @@ from repro.sta.kernel import (
     CornerSpec,
     KernelCompileError,
     compile_kernel,
-    kernel_full_run,
+    run_sta,
 )
 from repro.sta.required import instance_slacks, required_times
 from repro.sta.scheduler import (
@@ -90,7 +90,7 @@ __all__ = [
     "CornerSpec",
     "KernelCompileError",
     "compile_kernel",
-    "kernel_full_run",
+    "run_sta",
     "instance_slacks",
     "required_times",
     "ScenarioResultCache",

@@ -148,9 +148,9 @@ class STA:
         (no graph walk). With multiple clocks the capture clock is found
         by walking the CK pin's late backpointers to the clock root and
         matching that root against the defined clock ports. Returns None
-        when the root is not a constrained clock port. Deliberately
-        stateless: :class:`~repro.sta.kernel.CornerView` inherits it
-        without running ``STA.__init__``.
+        when the root is not a constrained clock port. The vector
+        kernel resolves capture clocks the same way, over its
+        backpointer arrays.
         """
         clocks = self.constraints.clocks
         if len(clocks) == 1:

@@ -44,7 +44,7 @@ from repro.obs import tracing as obs_tracing
 from repro.liberty.cell import PinDirection
 from repro.sta.analysis import STA
 from repro.sta.graph import CellEdge, NetEdge, TimingGraph
-from repro.sta.kernel import ENGINES, KernelCompileError, kernel_full_run
+from repro.sta.kernel import ENGINES, run_sta
 from repro.sta.propagation import (
     DIRECTIONS,
     _propagate_cell_edge,
@@ -73,15 +73,14 @@ class IncrementalTimer:
         self.full_updates = 0
         self.incremental_updates = 0
         self.last_cone_size = 0
-        #: The :class:`~repro.sta.kernel.CompiledKernel` backing the last
-        #: full update under the vector engine, if any. Any design edit
-        #: invalidates it — cone updates then run through the reference
-        #: propagation (the scalar path *is* the fallback engine) until
-        #: the next full update recompiles.
-        self._kernel = None
-        self.kernel_builds = 0
-        self.kernel_invalidations = 0
-        self.kernel_fallbacks = 0
+        #: Scenario name and fault injector :meth:`full_update` times
+        #: under (see :func:`~repro.sta.kernel.run_sta`); a
+        #: :class:`~repro.sta.scheduler.ScenarioTimerPool` sets both to
+        #: its own when it adopts the timer. Cone updates always run the
+        #: reference propagation on ``sta.prop``, whichever engine
+        #: produced it.
+        self.scenario = sta.library.name
+        self.fault_injector = None
         #: Signoff result caches (:class:`repro.sta.scheduler.
         #: ScenarioResultCache`) notified whenever this timer edits the
         #: design, so cached per-scenario reports of the pre-ECO netlist
@@ -132,11 +131,7 @@ class IncrementalTimer:
 
             # Phase 2 (infallible): the edit is absorbable — invalidate
             # registered caches for this design and apply the rebinds.
-            # A swapped cell also invalidates any compiled kernel (its
-            # stacked tables bake in the old cell); the cone update
-            # below runs through the reference propagation regardless.
             self._invalidate_caches()
-            self._drop_kernel()
             for plan in plans:
                 self._apply_instance_edges(plan)
 
@@ -196,43 +191,14 @@ class IncrementalTimer:
         sta = self.sta
         with obs_tracing.span("full_update", design=sta.design.name):
             self._invalidate_caches()
-            self._drop_kernel()
             self.full_updates += 1
             self.last_cone_size = 0
             obs_metrics.inc("sta.retime.full")
             sta.design.bind(sta.library)
             sta.parasitics.invalidate()
             sta.graph = TimingGraph(sta.design, sta.library, sta.constraints)
-            if self.engine == "vector":
-                try:
-                    report, kernel = kernel_full_run(sta)
-                    self._kernel = kernel
-                    self.kernel_builds += 1
-                except KernelCompileError as exc:
-                    self.kernel_fallbacks += 1
-                    obs_metrics.inc("kernel.fallbacks")
-                    # Span event (not just the counter) so `trace
-                    # summarize` can name the degraded scenario.
-                    with obs_tracing.span(
-                        "kernel_fallback",
-                        scenario=sta.library.name,
-                        design=sta.design.name,
-                        error=str(exc),
-                    ):
-                        pass
-                    report = sta.run()
-            else:
-                report = sta.run()
-            sta.report = report
-            return report
-
-    def _drop_kernel(self) -> None:
-        """Invalidate the compiled kernel after a design edit."""
-        if self._kernel is not None:
-            self._kernel.invalidate()
-            self._kernel = None
-            self.kernel_invalidations += 1
-            obs_metrics.inc("kernel.invalidations")
+            return run_sta(sta, self.engine, self.scenario,
+                           self.fault_injector)
 
     # ------------------------------------------------------------------ #
 

@@ -29,9 +29,12 @@ Design rules that make the kernel trustworthy:
   the stacked tensors, slacks are computed over endpoint index arrays,
   and startpoints come from one level-ordered pass over the
   backpointer arrays; :class:`EndpointResult` objects are built only
-  from the final per-endpoint values. Path-level analyses (CPPR, PBA)
-  run unchanged on :meth:`CompiledKernel.view`, an ordinary
-  :class:`~repro.sta.analysis.STA` over a materialized propagation.
+  from the final per-endpoint values.
+- **One way to time a scenario.** :func:`run_sta` times a built
+  :class:`~repro.sta.analysis.STA` on either engine. On the vector
+  engine it compiles a one-corner kernel and materializes ``sta.prop``
+  from the batch, so path-level analyses (worst-path reconstruction,
+  CPPR, PBA) and incremental cone updates run on the caller's own STA.
 - **Compilation can refuse.** Corner libraries must be structurally
   congruent (same cells, arcs, senses and table shapes); anything else
   raises :class:`KernelCompileError` so callers fall back to the
@@ -41,7 +44,10 @@ Observability: compilation emits a ``kernel_compile`` span with
 ``kernel_compile.index``/``.tables``/``.statics`` children, the batch a
 ``kernel_batch`` span, and every report a ``kernel_report`` span, plus
 ``kernel.compile_s`` and ``kernel.batch_corners`` metrics, so
-``repro trace summarize`` shows where multi-corner time goes.
+``repro trace summarize`` shows where multi-corner time goes. Every
+refused compile goes through :func:`record_fallback`, whose
+``kernel_fallback`` spans ``trace summarize`` lists as degraded
+scenarios.
 """
 
 from __future__ import annotations
@@ -66,7 +72,6 @@ from repro.parasitics.synthesis import (
     layer_rc_per_um,
     net_length,
 )
-from repro.sta.algebra import SCALAR
 from repro.sta.analysis import STA
 from repro.sta.constraints import Constraints
 from repro.sta.graph import CellEdge, NetEdge, TimingCheck, TimingGraph
@@ -178,119 +183,49 @@ def compile_kernel(
                           stack=stack, graph=graph, parasitics=parasitics)
 
 
-def kernel_full_run(sta: STA) -> Tuple[TimingReport, "CompiledKernel"]:
-    """Time one already-constructed STA through the vector kernel.
+def run_sta(sta: STA, engine: str, scenario: str,
+            fault_injector=None) -> TimingReport:
+    """Time one built :class:`STA` on ``engine``; returns its report.
 
-    Produces the same ``sta.prop`` / ``sta.si_delta`` / report a
-    reference :meth:`~repro.sta.analysis.STA.run` would, so path
-    reconstruction, PBA and the closure loop's fix targeting work
-    unchanged on the result. Raises :class:`KernelCompileError` when the
-    graph cannot be compiled (caller falls back to ``sta.run()``).
+    The reference engine is ``sta.run()``. The vector engine fires any
+    kernel-scoped fault planned for ``scenario``, compiles a one-corner
+    kernel over the STA's own graph and parasitics, and materializes
+    ``sta.prop`` / ``sta.si_delta`` / ``sta.report`` as a reference run
+    would, so path reconstruction, CPPR, PBA and incremental cone
+    updates run unchanged on the result. A graph that will not compile
+    is recorded as a fallback of ``scenario`` and timed by ``sta.run()``.
     """
-    kernel = compile_kernel(
-        sta.design, sta.constraints, [CornerSpec.from_sta(sta)],
-        stack=sta.stack, graph=sta.graph, parasitics=sta.parasitics,
-    )
-    kernel.run()
-    sta.si_delta = kernel.si_delta_for(0)
-    sta.prop = kernel.materialize_prop(0)
-    return kernel.report(0), kernel
+    if engine not in ENGINES:
+        raise TimingError(f"unknown engine {engine!r}; pick from {ENGINES}")
+    if engine == "vector":
+        try:
+            if fault_injector is not None:
+                fault_injector.fire_kernel(scenario)
+            kernel = compile_kernel(
+                sta.design, sta.constraints, [CornerSpec.from_sta(sta)],
+                stack=sta.stack, graph=sta.graph, parasitics=sta.parasitics,
+            )
+            kernel.run()
+        except KernelCompileError as exc:
+            record_fallback(exc, [scenario])
+        else:
+            sta.si_delta = kernel.si_delta_for(0)
+            sta.prop = kernel.materialize_prop(0)
+            sta.report = kernel.report(0)
+            return sta.report
+    return sta.run()
 
 
-# ---------------------------------------------------------------------- #
-# path-level views
-
-
-class _CornerGraph:
-    """A :class:`TimingGraph`-shaped proxy for one corner.
-
-    Shares the compile graph's structure (adjacency, clock network,
-    levelization, depths) but binds checks, cell lookups and — lazily —
-    edge arcs to the corner's library, so PBA path re-propagation reads
-    that corner's tables.
-    """
-
-    def __init__(self, kernel: "CompiledKernel", ci: int):
-        base = kernel.graph
-        self._kernel = kernel
-        self._ci = ci
-        self.design = base.design
-        self.library = kernel.corners[ci].library
-        self.constraints = base.constraints
-        self.checks = kernel._corner_checks[ci]
-        self.clock_pins = base.clock_pins
-        self.clock_roots = base.clock_roots
-        self.topo_order = base.topo_order
-        self.data_depth = base.data_depth
-
-    # Adjacency with corner-rebound cell arcs, built on first use (only
-    # PBA's path enumeration needs it).
-    @property
-    def in_edges(self):
-        return self._kernel._rebound_adjacency(self._ci)[0]
-
-    @property
-    def out_edges(self):
-        return self._kernel._rebound_adjacency(self._ci)[1]
-
-    def setup_checks(self) -> List[TimingCheck]:
-        return [c for c in self.checks if c.is_setup]
-
-    def hold_checks(self) -> List[TimingCheck]:
-        return [c for c in self.checks if not c.is_setup]
-
-    def output_port_refs(self) -> List[PinRef]:
-        return [PinRef("", p) for p in self.design.output_ports()]
-
-    def load_pin_refs(self, net_name: str) -> List[PinRef]:
-        return list(self.design.get_net(net_name).loads)
-
-    def instance_of(self, ref: PinRef):
-        if ref.is_port:
-            raise TimingError(f"{ref} is a port, not an instance pin")
-        return self.design.instance(ref.instance)
-
-    def cell_of(self, ref: PinRef):
-        return self.library.cell(self.instance_of(ref).cell_name)
-
-    def stats(self) -> Dict[str, int]:
-        return self._kernel.graph.stats()
-
-
-class CornerView(STA):
-    """An :class:`STA` whose run state comes from the kernel's batch.
-
-    Path-level analyses — worst-path reconstruction, CPPR, PBA — are
-    inherited unchanged from the reference implementation and read this
-    view's materialized ``prop`` and corner-bound ``graph``. Views are
-    read-only analyses; do not hand one to the incremental timer.
-    """
-
-    def __init__(self, kernel: "CompiledKernel", ci: int):
-        # Deliberately no super().__init__(): the design stays bound to
-        # the compile library (binding is library-independent for
-        # congruent libraries) and no new graph is built.
-        spec = kernel.corners[ci]
-        self.design = kernel.design
-        self.library = spec.library
-        self.constraints = kernel.constraints
-        self.stack = kernel.stack
-        self.temp_c = spec.temp_c
-        self.beol_corner = spec.beol_corner
-        self.derates = spec.derates
-        self.si_enabled = spec.si_enabled
-        self.parasitics = kernel._extractor(ci)
-        self.graph = _CornerGraph(kernel, ci)
-        self.prop = kernel.materialize_prop(ci)
-        self.si_delta = kernel.si_delta_for(ci)
-        self.algebra = SCALAR  # kernel batches are always scalar
-        self.report: Optional[TimingReport] = None
-
-    def run(self) -> TimingReport:
-        raise TimingError(
-            "CornerView state comes from CompiledKernel.run(); "
-            "re-running a view is not supported"
-        )
+def record_fallback(error: Exception, scenarios: Sequence[str]) -> None:
+    """Record one refused compile whose ``scenarios`` fall back to the
+    reference engine: a ``kernel.fallbacks`` count, plus a
+    ``kernel_fallback`` span per scenario so ``repro trace summarize``
+    names each degraded scenario."""
+    obs_metrics.inc("kernel.fallbacks")
+    for name in scenarios:
+        with obs_tracing.span("kernel_fallback", scenario=name,
+                              error=str(error)):
+            pass
 
 
 # ---------------------------------------------------------------------- #
@@ -346,8 +281,8 @@ class CompiledKernel:
     Compilation happens in ``__init__``; :meth:`run` executes the
     batched forward pass; :meth:`report`/:meth:`reports` produce
     per-corner :class:`TimingReport` objects bit-compatible with the
-    reference engine; :meth:`view` exposes a full STA-compatible
-    per-corner view for path-level analyses.
+    reference engine; :meth:`materialize_prop` rebuilds a corner's
+    reference :class:`PropagationResult`.
     """
 
     def __init__(
@@ -365,7 +300,6 @@ class CompiledKernel:
         self.constraints = constraints
         self.corners = corners
         self.stack = stack or default_stack()
-        self.valid = True
         self._ran = False
         #: Vectorized batch steps executed by :meth:`run` (one per
         #: non-empty level x edge-kind) — the denominator of the
@@ -373,7 +307,7 @@ class CompiledKernel:
         self.batch_ops = 0
         #: Vectorized NLDM table evaluations (4 per cell batch step).
         self.batch_lookups = 0
-        # Per-corner extractors, built only for SI and path-level views.
+        # Per-corner extractors, built only for SI corners.
         self._extractors: Dict[int, ParasiticExtractor] = {}
         if parasitics is not None:
             self._extractors[0] = parasitics
@@ -401,9 +335,7 @@ class CompiledKernel:
         self._cand_late = None
         self._cand_early = None
         self._pred_rank_cache: Dict[Tuple[int, str], np.ndarray] = {}
-        self._view_cache: Dict[int, CornerView] = {}
         self._loads_cache: Dict[int, Dict[PinRef, float]] = {}
-        self._rebound_cache: Dict[int, Tuple[dict, dict]] = {}
 
     # ------------------------------------------------------------------ #
     # compilation
@@ -586,9 +518,8 @@ class CompiledKernel:
 
         # --- per-corner arc congruence maps ---------------------------- #
         self._arc_map_cache: Dict[Tuple[int, str], Dict] = {}
-        # Corner-swapped CellEdge cache, keyed (corner, id(base edge)) —
-        # shared by pred backpointers and rebound adjacency so the same
-        # swapped object serves both (PBA walks rely on that).
+        # Corner-swapped CellEdge cache, keyed (corner, id(base edge)),
+        # for the backpointers of materialized propagations.
         self._edge_swap_cache: Dict[int, Dict[int, CellEdge]] = {}
         cell_names = {inst.cell_name for inst in design.instances.values()}
         for ci in range(1, n_corners):
@@ -981,8 +912,8 @@ class CompiledKernel:
         self._seeds = seed_arr
 
     def _extractor(self, ci: int) -> ParasiticExtractor:
-        """Corner ``ci``'s scalar extractor, built on first use (SI and
-        path-level views; the batch statics never need one)."""
+        """Corner ``ci``'s scalar extractor, built on first use (SI
+        corners only; the batch statics never need one)."""
         para = self._extractors.get(ci)
         if para is None:
             spec = self.corners[ci]
@@ -1032,14 +963,8 @@ class CompiledKernel:
     # ------------------------------------------------------------------ #
     # the batched forward pass
 
-    def invalidate(self) -> None:
-        """Mark the compiled arrays stale (topology/table edit)."""
-        self.valid = False
-
     def run(self) -> None:
         """Propagate every corner simultaneously."""
-        if not self.valid:
-            raise TimingError("kernel was invalidated; recompile first")
         n_corners = len(self.corners)
         with obs_tracing.span(
             "kernel_batch", design=self.design.name, corners=n_corners,
@@ -1134,7 +1059,6 @@ class CompiledKernel:
         self._cand_late = cand_l
         self._cand_early = cand_e
         self._pred_rank_cache.clear()
-        self._view_cache.clear()
         self._loads_cache.clear()
 
     def _bilinear(self, tid: np.ndarray, x1: np.ndarray, x2: np.ndarray,
@@ -1253,9 +1177,10 @@ class CompiledKernel:
 
     def materialize_prop(self, ci: int) -> PropagationResult:
         """A fully-materialized, mutation-safe reference
-        :class:`PropagationResult` for corner ``ci`` (path-level views
-        read it; the incremental timer's cone updates pop and rebuild
-        entries in place)."""
+        :class:`PropagationResult` for corner ``ci`` (:func:`run_sta`
+        hands it to the caller's STA, whose path analyses read it and
+        whose incremental cone updates pop and rebuild entries in
+        place)."""
         self._require_run()
         prop = PropagationResult()
         reached = np.nonzero(self._valid_nodes(ci, "late"))[0]
@@ -1290,17 +1215,7 @@ class CompiledKernel:
         return prop
 
     # ------------------------------------------------------------------ #
-    # reports and views
-
-    def view(self, ci: int) -> CornerView:
-        """An STA-compatible view of corner ``ci`` for path-level
-        analyses (CPPR, PBA); read-only."""
-        self._require_run()
-        view = self._view_cache.get(ci)
-        if view is None:
-            view = CornerView(self, ci)
-            self._view_cache[ci] = view
-        return view
+    # reports
 
     def report(self, ci: int) -> TimingReport:
         """The corner's timing report, bit-compatible with
@@ -1482,20 +1397,6 @@ class CompiledKernel:
                           limit=float(self._slew_limit[i, ci]))
             for i in over.tolist()
         ]
-
-    def _rebound_adjacency(self, ci: int) -> Tuple[dict, dict]:
-        """Adjacency dicts whose CellEdges carry corner-``ci`` arcs."""
-        if ci == 0:
-            return self.graph.in_edges, self.graph.out_edges
-        cached = self._rebound_cache.get(ci)
-        if cached is not None:
-            return cached
-        in_edges = {ref: [self._corner_edge(ci, e) for e in edges]
-                    for ref, edges in self.graph.in_edges.items()}
-        out_edges = {ref: [self._corner_edge(ci, e) for e in edges]
-                     for ref, edges in self.graph.out_edges.items()}
-        self._rebound_cache[ci] = (in_edges, out_edges)
-        return in_edges, out_edges
 
     # ------------------------------------------------------------------ #
     # work accounting

@@ -50,7 +50,8 @@ from repro.sta.kernel import (
     CornerSpec,
     KernelCompileError,
     compile_kernel,
-    kernel_full_run,
+    record_fallback,
+    run_sta,
 )
 from repro.sta.reports import TimingReport
 
@@ -351,7 +352,8 @@ class ScenarioTimerPool:
             )
         self.engine = engine
         #: Optional :class:`repro.testing.faults.FaultInjector` whose
-        #: kernel-scoped faults fire at vector-kernel compile time, so
+        #: kernel-scoped faults fire at every vector-kernel compile of a
+        #: full run (first build and each timer ``full_update``), so
         #: chaos plans exercise the reference fallback on warm pools.
         self.fault_injector = fault_injector
         self._timers: Dict[str, "IncrementalTimer"] = {}
@@ -384,6 +386,8 @@ class ScenarioTimerPool:
         from repro.sta.incremental import IncrementalTimer
 
         timer = IncrementalTimer(sta, engine=self.engine)
+        timer.scenario = name
+        timer.fault_injector = self.fault_injector
         for cache in self._caches:
             timer.register_cache(cache)
         self._timers[name] = timer
@@ -427,7 +431,7 @@ class ScenarioTimerPool:
             with obs_tracing.span("sta_build", scenario=name):
                 sta = build()
                 if sta.prop is None or sta.report is None:
-                    sta.report = self._full_run(sta, name)
+                    run_sta(sta, self.engine, name, self.fault_injector)
             self.adopt(name, sta)
             self.builds += 1
             return sta.report
@@ -444,22 +448,6 @@ class ScenarioTimerPool:
             return timer.full_update()
         self.incremental_retimes += 1
         return report
-
-    def _full_run(self, sta, name: str) -> TimingReport:
-        """Run a fresh STA through the pool's engine (vector falls back
-        to the reference run when the scenario will not compile)."""
-        if self.engine == "vector":
-            try:
-                if self.fault_injector is not None:
-                    self.fault_injector.fire_kernel(name)
-                report, _ = kernel_full_run(sta)
-                return report
-            except KernelCompileError as exc:
-                obs_metrics.inc("kernel.fallbacks")
-                with obs_tracing.span("kernel_fallback", scenario=name,
-                                      error=str(exc)):
-                    pass
-        return sta.run()
 
 
 # ---------------------------------------------------------------------- #
@@ -878,18 +866,11 @@ class SignoffScheduler:
                         )
                         kernel.run()
                     except KernelCompileError as exc:
-                        obs_metrics.inc("kernel.fallbacks")
+                        record_fallback(exc, [s.name for s, _ in group])
                         events.append(
                             "vector engine fell back to reference for "
                             f"{len(group)} scenario(s): {exc}"
                         )
-                        for scenario, _ in group:
-                            with obs_tracing.span(
-                                "kernel_fallback",
-                                scenario=scenario.name,
-                                error=str(exc),
-                            ):
-                                pass
                         ref_todo.extend(group)
                         continue
                     for ci, (scenario, fp) in enumerate(group):

@@ -173,11 +173,11 @@ class FaultInjector:
     def fire_kernel(self, task: str, attempt: int = 1) -> None:
         """Fire a planned kernel-compile fault for ``task``, if any.
 
-        Called by vector-engine compile sites (the signoff scheduler's
-        mode batching, the warm timer pool's full runs) so chaos plans
-        exercise the reference-engine fallback ladder — previously
-        injected runs always forced the reference engine, leaving the
-        fallback path untested under chaos. Raises
+        Called by both vector-engine compile sites: the signoff
+        scheduler's mode batching, and :func:`repro.sta.kernel.run_sta`,
+        which times every full run of a warm timer pool (a scenario's
+        first build and each later ``full_update``). Chaos plans thereby
+        exercise the reference-engine fallback ladder. Raises
         :class:`~repro.sta.kernel.KernelCompileError` exactly like a
         real incongruent-library refusal, so production handling (not a
         test-only path) absorbs it.

@@ -118,6 +118,38 @@ class TestQueries:
         slacks = [p["slack"] for p in paths["paths"]]
         assert slacks == sorted(slacks)
 
+    def test_vector_paths_match_reference(self, daemon_factory):
+        """Paths on a vector-engine daemon walk the kernel-materialized
+        backpointers and render exactly as on the reference engine."""
+        def paths_of(daemon):
+            out = {}
+            with client_for(daemon) as client:
+                for scenario in ("tt_typ", "ss_cw"):
+                    for mode in ("setup", "hold"):
+                        result = client.request("paths", {
+                            "scenario": scenario, "mode": mode, "count": 5,
+                        })
+                        out[scenario, mode] = [
+                            (p["render"], p["startpoint"], p["slack"])
+                            for p in result["paths"]
+                        ]
+            return out
+
+        want = paths_of(daemon_factory())
+        tracer = tracing.Tracer()
+        tracing.set_default_tracer(tracer)
+        try:
+            got = paths_of(daemon_factory(
+                config=DaemonConfig(workers=2, engine="vector")
+            ))
+        finally:
+            tracing.set_default_tracer(None)
+        names = {span.name for span in tracer.spans()}
+        assert "kernel_batch" in names
+        assert "kernel_fallback" not in names
+        assert all(want.values())
+        assert got == want
+
     def test_unknown_scenario_is_bad_request(self, daemon_factory):
         daemon = daemon_factory()
         with client_for(daemon) as client:

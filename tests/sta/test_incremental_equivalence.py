@@ -4,11 +4,14 @@ The closure loop's whole premise is that a cone-limited update after a
 footprint-preserving edit produces *the same answer* a fresh
 :meth:`STA.run` would. This suite drives randomized Vt-swap/resize
 sequences — multiple edits per step, multiple steps per run, SI on and
-off — and requires WNS, TNS and every endpoint slack to agree within
-1e-9 ps after every step. The tolerance is that tight on purpose: the
-update re-propagates the cone with the same graph, the same topological
-order and the same stored boundary arrivals, so the float operations
-are identical and the agreement should be exact, not approximate.
+off, on both timing engines — and requires WNS, TNS and every endpoint
+slack to agree within 1e-9 ps after every step and after the closing
+full update. The tolerance is that tight on purpose: the update
+re-propagates the cone with the same graph, the same topological order
+and the same stored boundary arrivals, so the float operations are
+identical and the agreement should be exact, not approximate. On the
+vector engine the stored arrivals are the ones the kernel materialized,
+and the full update recompiles the kernel.
 """
 
 import pytest
@@ -17,8 +20,10 @@ from hypothesis import given, settings, strategies as st
 from repro.liberty import make_library
 from repro.netlist.generators import random_logic
 from repro.netlist.transforms import downsize, swap_vt, upsize
+from repro.obs import metrics as obs_metrics
 from repro.sta import STA, Constraints
 from repro.sta.incremental import IncrementalTimer
+from repro.sta.kernel import ENGINES, run_sta
 
 VT_FLAVORS = ("svt", "lvt", "ulvt")
 
@@ -28,13 +33,23 @@ def lib():
     return make_library()
 
 
-def _setup(lib, seed, si_enabled):
+def _setup(lib, seed, si_enabled, engine):
     design = random_logic(n_gates=220, n_levels=8, seed=seed)
     constraints = Constraints.single_clock(520.0)
     constraints.input_delays = {f"in{i}": 60.0 for i in range(32)}
     sta = STA(design, lib, constraints, si_enabled=si_enabled)
-    sta.report = sta.run()
+    _without_fallback(run_sta, sta, engine, "tt")
     return design, sta
+
+
+def _without_fallback(fn, *args):
+    """``fn(*args)``, checking that no vector run fell back to the
+    reference engine."""
+    registry = obs_metrics.MetricsRegistry()
+    with obs_metrics.use(registry):
+        result = fn(*args)
+    assert registry.get("kernel.fallbacks") is None
+    return result
 
 
 def _apply(design, lib, name, action, flavor):
@@ -61,12 +76,14 @@ def _assert_equivalent(incremental, reference):
 
 
 @pytest.mark.parametrize("si_enabled", [False, True])
+@pytest.mark.parametrize("engine", ENGINES)
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_random_eco_sequences_match_fresh_sta(lib, si_enabled, data):
+def test_random_eco_sequences_match_fresh_sta(lib, engine, si_enabled,
+                                              data):
     seed = data.draw(st.integers(min_value=1, max_value=4), label="seed")
-    design, sta = _setup(lib, seed, si_enabled)
-    timer = IncrementalTimer(sta)
+    design, sta = _setup(lib, seed, si_enabled, engine)
+    timer = IncrementalTimer(sta, engine=engine)
     candidates = [
         inst.name for inst in design.combinational_instances(lib)
     ]
@@ -91,3 +108,7 @@ def test_random_eco_sequences_match_fresh_sta(lib, si_enabled, data):
                         si_enabled=si_enabled).run()
         _assert_equivalent(incremental, reference)
     assert timer.incremental_updates <= n_steps
+    full = _without_fallback(timer.full_update)
+    reference = STA(design, lib, sta.constraints,
+                    si_enabled=si_enabled).run()
+    _assert_equivalent(full, reference)

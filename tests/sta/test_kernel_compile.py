@@ -28,7 +28,7 @@ from repro.liberty.stdcells import LibraryCondition
 from repro.liberty.tables import LookupTable2D
 from repro.netlist.generators import random_logic
 from repro.parasitics.synthesis import ParasiticExtractor
-from repro.sta import Constraints
+from repro.sta import STA, Constraints
 from repro.sta.graph import NetEdge
 from repro.sta.kernel import (
     ENGINES,
@@ -241,15 +241,6 @@ class TestLifecycle:
         kernel.run()
         assert kernel.report(0).endpoints("setup")
 
-    def test_invalidate_blocks_run(self, compiled):
-        _, kernel = compiled
-        clone = compile_kernel(kernel.design, kernel.constraints,
-                               kernel.corners, stack=kernel.stack,
-                               graph=kernel.graph)
-        clone.invalidate()
-        with pytest.raises(TimingError):
-            clone.run()
-
     def test_engines_registry(self):
         assert ENGINES == ("reference", "vector")
 
@@ -404,17 +395,23 @@ class TestCompiledStatics:
                     assert arr[e, ci] == want
             assert np.all(kernel._factor_late[kernel._net_rows, ci] == 1.0)
 
-    def test_startpoints_match_origin_walk(self, statics_batch):
-        _, _, kernel, _ = statics_batch
-        for ci in range(len(kernel.corners)):
-            view = kernel.view(ci)
+    def test_startpoints_match_origin_walk(self, statics_batch, stack):
+        design, constraints, kernel, _ = statics_batch
+        for ci, spec in enumerate(kernel.corners):
+            ref_sta = STA(
+                copy.deepcopy(design), spec.library,
+                copy.deepcopy(constraints), stack=stack,
+                beol_corner=spec.beol_corner, temp_c=spec.temp_c,
+                derates=spec.derates, si_enabled=spec.si_enabled,
+            )
+            ref_sta.run()
             report = kernel.report(ci)
             kinds = set()
             for e in report.setup + report.hold:
                 mode = "early" if e.kind == "hold" else "late"
-                origin = view._origin(e.endpoint, e.data_direction, mode)
+                origin = ref_sta._origin(e.endpoint, e.data_direction, mode)
                 assert e.startpoint == origin
                 assert e.launched_from_clock == \
-                    (origin in kernel.graph.clock_pins)
+                    (origin in ref_sta.graph.clock_pins)
                 kinds.add(e.kind)
             assert kinds == {"setup", "hold", "output"}

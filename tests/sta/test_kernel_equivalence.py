@@ -32,10 +32,11 @@ from repro.liberty.stdcells import LibraryCondition
 from repro.netlist.design import Design, PortDirection
 from repro.netlist.generators import hierarchical_soc, random_logic
 from repro.netlist.transforms import downsize, swap_vt, upsize
+from repro.obs import metrics as obs_metrics
 from repro.sta import STA, Constraints
 from repro.sta.cppr import endpoint_cppr_credit
 from repro.sta.incremental import IncrementalTimer
-from repro.sta.kernel import CornerSpec, compile_kernel, kernel_full_run
+from repro.sta.kernel import CornerSpec, compile_kernel, run_sta
 from repro.sta.pba import analyze_endpoint
 from repro.sta.propagation import DIRECTIONS, Derates
 
@@ -88,15 +89,39 @@ def _corner_specs(libs, stack):
     ]
 
 
-def _oracle(design, constraints, spec, stack):
-    """Reference engine for one corner, on private copies (STA mutates
-    the design it binds)."""
-    sta = STA(
+def _corner_sta(design, constraints, spec, stack):
+    """An unrun STA for one corner, on private copies (STA mutates the
+    design it binds)."""
+    return STA(
         copy.deepcopy(design), spec.library, copy.deepcopy(constraints),
         stack=stack, beol_corner=spec.beol_corner, temp_c=spec.temp_c,
         derates=spec.derates, si_enabled=spec.si_enabled,
     )
+
+
+def _oracle(design, constraints, spec, stack):
+    """Reference engine for one corner."""
+    sta = _corner_sta(design, constraints, spec, stack)
     sta.report = sta.run()
+    return sta
+
+
+def _on_kernel(fn, *args):
+    """``fn(*args)``, checking that it ran one kernel batch and recorded
+    no reference fallback."""
+    registry = obs_metrics.MetricsRegistry()
+    with obs_metrics.use(registry):
+        result = fn(*args)
+    assert registry.get("kernel.fallbacks") is None
+    assert registry.get("kernel.batches").value == 1
+    return result
+
+
+def _vector_sta(design, constraints, spec, stack):
+    """One corner timed on the vector engine, as the scheduler's timer
+    pool, the daemon and the closure loop time a scenario."""
+    sta = _corner_sta(design, constraints, spec, stack)
+    _on_kernel(run_sta, sta, "vector", spec.name)
     return sta
 
 
@@ -304,13 +329,11 @@ class TestCpprEquivalence:
             derates=Derates(clock_late=1.08, clock_early=0.92),
         )
         ref_sta = _oracle(design, constraints, spec, stack)
-        kernel = compile_kernel(design, constraints, [spec], stack=stack)
-        kernel.run()
-        view = kernel.view(0)
+        vec_sta = _vector_sta(design, constraints, spec, stack)
         credits = []
-        for got_ep, ref_ep in zip(kernel.report(0).endpoints("setup"),
+        for got_ep, ref_ep in zip(vec_sta.report.endpoints("setup"),
                                   ref_sta.report.endpoints("setup")):
-            got = endpoint_cppr_credit(view, got_ep)
+            got = endpoint_cppr_credit(vec_sta, got_ep)
             want = endpoint_cppr_credit(ref_sta, ref_ep)
             assert got == pytest.approx(want, abs=TOL)
             credits.append(want)
@@ -334,10 +357,8 @@ class TestEcoEquivalence:
                               n_levels=5, seed=seed)
         constraints = Constraints.single_clock(520.0)
         sta = STA(design, lib, constraints, stack=stack)
-        report, kernel = kernel_full_run(sta)
-        sta.report = report
+        _on_kernel(run_sta, sta, "vector", "tt")
         timer = IncrementalTimer(sta, engine="vector")
-        timer._kernel = kernel
         candidates = [
             inst.name for inst in design.combinational_instances(lib)
         ]
@@ -361,17 +382,15 @@ class TestEcoEquivalence:
                     upsize(design, lib, name)
                 else:
                     downsize(design, lib, name)
-            # The edit invalidates the compiled kernel; the cone update
-            # must fall back to reference propagation and still match a
+            # The cone update re-propagates the kernel-materialized
+            # arrivals with the reference propagation and must match a
             # from-scratch reference run.
             incremental = timer.update_cells(picks)
-            assert timer._kernel is None
             ref_sta = STA(copy.deepcopy(design), lib,
                           copy.deepcopy(constraints), stack=stack)
             assert_report_equal(incremental, ref_sta.run())
         # A full update recompiles the kernel and stays equivalent.
-        full = timer.full_update()
-        assert timer._kernel is not None
+        full = _on_kernel(timer.full_update)
         ref_sta = STA(copy.deepcopy(design), lib,
                       copy.deepcopy(constraints), stack=stack)
         assert_report_equal(full, ref_sta.run())
@@ -394,6 +413,16 @@ def small_batch(libs, stack):
     return design, constraints, specs, kernel
 
 
+@pytest.fixture(scope="module")
+def vector_stas(libs, stack):
+    """The 4-corner batch design, each corner on its own STA timed
+    through the vector engine."""
+    design = _make_design(seed=3)
+    constraints = _make_constraints()
+    return [_vector_sta(design, constraints, spec, stack)
+            for spec in _corner_specs(libs, stack)]
+
+
 class TestProperties:
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(perm=st.permutations(list(range(4))))
@@ -411,15 +440,14 @@ class TestProperties:
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(data=st.data())
-    def test_vector_pba_never_worse_than_gba(self, batch, data):
-        kernel, _ = batch
+    def test_vector_pba_never_worse_than_gba(self, vector_stas, data):
         ci = data.draw(st.integers(min_value=0, max_value=3), label="ci")
-        view = kernel.view(ci)
-        endpoints = kernel.report(ci).endpoints("setup")
+        sta = vector_stas[ci]
+        endpoints = sta.report.endpoints("setup")
         idx = data.draw(
             st.integers(min_value=0, max_value=len(endpoints) - 1),
             label="endpoint",
         )
-        result = analyze_endpoint(view, endpoints[idx], max_paths=16)
+        result = analyze_endpoint(sta, endpoints[idx], max_paths=16)
         assert result.pba_slack >= result.gba_slack - TOL
         assert result.pessimism_recovered >= -TOL

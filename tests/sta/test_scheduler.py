@@ -482,6 +482,41 @@ class TestScenarioTimerPool:
         pool.retime("tt", build=build)
         assert pool.builds == 2
 
+    def test_kernel_fault_fires_on_every_full_run(self, lib):
+        """A planned kernel-compile fault fires on the first build *and*
+        on a warm full update; each falls back to a report equal to the
+        reference engine's and is traced under the scenario's name."""
+        from repro.obs import metrics as obs_metrics
+        from repro.obs import tracing
+        from repro.obs.export import chrome_trace, summarize
+        from repro.sta.scheduler import ScenarioTimerPool
+        from repro.testing import FaultInjector, FaultPlan
+        from repro.testing.faults import Fault
+
+        _, c, ref_pool, ref_build = self._pool_setup(lib)
+        design = make_design()
+        injector = FaultInjector(FaultPlan.of(
+            Fault("kernel_compile", task="tt")
+        ))
+        pool = ScenarioTimerPool(engine="vector", fault_injector=injector)
+        tracer = tracing.Tracer()
+        registry = obs_metrics.MetricsRegistry()
+        tracing.set_default_tracer(tracer)
+        try:
+            with obs_metrics.use(registry):
+                built = pool.retime("tt", build=lambda: STA(design, lib, c))
+                full = pool.retime("tt", topology_changed=True)
+        finally:
+            tracing.set_default_tracer(None)
+        assert built == ref_pool.retime("tt", build=ref_build)
+        assert full == ref_pool.retime("tt", topology_changed=True)
+        assert registry.get("kernel.fallbacks").value == 2
+        assert registry.get("kernel.batches") is None
+        fallbacks = [s for s in tracer.spans() if s.name == "kernel_fallback"]
+        assert len(fallbacks) == 2
+        summary = summarize(chrome_trace(tracer.spans())["traceEvents"])
+        assert summary.degraded_scenarios == ["tt"]
+
 
 class TestEngineCacheParity:
     """The content-hash cache must be engine-blind: kernel-produced
